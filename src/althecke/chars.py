@@ -21,15 +21,23 @@ two split characters, so both conventions give a correct character set.
 
 On top of these sit the length recursions: class polynomials expressing
 any character value through minimal-length class representatives, their
-alternating analogue, twisted values at arbitrary permutations, and full
-character tables.
+alternating analogue, and twisted values at arbitrary permutations.
+
+Character tables and single character values never touch a matrix.  A
+plain value at a minimal-length representative comes from Ram's
+broken-border-strip rule (:func:`plain_char`), at any other permutation
+through the class polynomials; a twisted value comes from the closed form
+at ``w+`` and from the length recursion at ``w-`` and elsewhere.  The
+matrix traces of :mod:`althecke.specht` only check these routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
+from math import comb
 
 from .combinat import (
     NotSymmetricError,
@@ -46,6 +54,7 @@ from .hecke import NotAlternatingError, b_in_a, t_in_b
 from .scalars import (
     DEFAULT_N_MAX,
     GaussianRational,
+    LaurentPoly,
     R_ONE,
     R_ZERO,
     RatFunc,
@@ -55,9 +64,10 @@ from .scalars import (
     pretty_tower,
     q_minus_qinv,
     qint,
+    tower_from_obj,
     tower_to_obj,
 )
-from .specht import char_T, twisted_trace
+from .specht import twisted_trace
 from .symgroup import (
     ConjClass,
     Drop2Step,
@@ -385,11 +395,96 @@ def class_polys(w: Permutation) -> ClassPolyTable:
 
 
 def char_via_class_polys(lam, w: Permutation) -> TowerElem:
-    """Reassemble a character value from the class polynomials (test route)."""
+    """Character value at any permutation: the class polynomials of w times
+    the values at minimal-length class representatives."""
     total = TowerElem.zero()
     for ctype, c in _f_vector(w):
-        total = total + char_T(lam, w_of_composition(ctype)).scale(c)
+        total = total + plain_char(lam, ctype).scale(c)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Plain characters at minimal-length class representatives
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _broken_strips(lam: tuple, r: int) -> tuple:
+    """Every (nu, rows, links) with lam/nu a broken border strip of size r.
+
+    A skew shape lam/nu has no 2x2 block iff nu_i >= lam_(i+1) - 1 in every
+    row.  ``rows`` counts its non-empty rows and ``links`` the adjacent rows
+    that share a column (nu_i < lam_(i+1)), so it has rows - links
+    edge-connected components.
+    """
+    below = lam[1:] + (0,)
+    room = [0] * (len(lam) + 1)  # the most cells rows i, i+1, ... can give up
+    for i in range(len(lam) - 1, -1, -1):
+        room[i] = room[i + 1] + lam[i] - max(below[i] - 1, 0)
+    out = []
+
+    def walk(i, prev, left, nu, rows, links):
+        if i == len(lam):
+            out.append((tuple(p for p in nu if p), rows, links))
+            return
+        for v in range(min(lam[i], prev), max(below[i] - 1, 0) - 1, -1):
+            cut = lam[i] - v
+            if cut > left:
+                break
+            if left - cut <= room[i + 1]:
+                walk(i + 1, v, left - cut, nu + (v,), rows + (cut > 0),
+                     links + (v < below[i]))
+
+    if r <= room[0]:
+        walk(0, lam[0], r, (), 0, 0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _ram(lam: tuple, kappa: tuple) -> tuple:
+    """Ram's rule: the value of shape lam at w_kappa as ((exp, int), ...) in q.
+
+    Removing a broken border strip of size r = kappa[-1] with cc components
+    and height ht = rows - cc weighs (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1) for
+    T'_i = q T_i and Q = q^2; the factor q^-(r-1) converts to T_i.
+    """
+    if not kappa:
+        return ((0, 1),)
+    r = kappa[-1]
+    acc = {}
+    for nu, rows, links in _broken_strips(lam, r):
+        cc = rows - links
+        shift = 2 * (r - rows) - (r - 1)
+        sign = -1 if links % 2 else 1
+        rest = _ram(nu, kappa[:-1])
+        for j in range(cc):  # expand (Q - 1)^(cc - 1)
+            c = sign * comb(cc - 1, j) * (-1 if (cc - 1 - j) % 2 else 1)
+            for e, v in rest:
+                key = shift + 2 * j + e
+                acc[key] = acc.get(key, 0) + c * v
+    return tuple(sorted((e, v) for e, v in acc.items() if v))
+
+
+def plain_char(lam, kappa) -> TowerElem:
+    """Character of shape lam at the canonical permutation of a composition.
+
+    Minimal-length elements of one conjugacy class share their character
+    values, so the composition is sorted before Ram's broken-border-strip
+    rule evaluates it.
+    """
+    lam = tuple(lam)
+    kappa = tuple(sorted(kappa, reverse=True))
+    if sum(lam) != sum(kappa):
+        raise ValueError(f"shape {lam} and class {kappa} have different sizes")
+    return _scalar(_ram(lam, kappa))
+
+
+def _scalar(terms, den: int = 1) -> TowerElem:
+    """The sum of c * q^e over the (e, c) in terms, divided by den."""
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    return TowerElem.from_scalar(RatFunc(LaurentPoly(
+        {e: Fraction(c, den) for e, c in acc.items() if c})))
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +628,14 @@ class CharTable:
     def to_json(self) -> str:
         return canonical_json(self.to_obj())
 
-    def to_csv(self) -> str:
-        lines = ["character," + ",".join(_csv_quote(cc.label()) for cc, _ in self.columns)]
-        for row in self.rows:
-            cells = ",".join(_csv_quote(pretty_tower(v)) for v in row.cells)
-            lines.append(f"{_csv_quote(row.label())},{cells}")
-        return "\n".join(lines) + "\n"
+
+def table_csv(obj: dict) -> str:
+    """The human-readable CSV form of a table document (``CharTable.to_obj``)."""
+    lines = ["character," + ",".join(_csv_quote(label) for label in obj["columns"])]
+    for row in obj["rows"]:
+        cells = ",".join(_csv_quote(pretty_tower(tower_from_obj(c))) for c in row["cells"])
+        lines.append(f"{_csv_quote(row['label'])},{cells}")
+    return "\n".join(lines) + "\n"
 
 
 def _csv_quote(text: str) -> str:
@@ -571,12 +668,12 @@ def char_table(n: int, force: bool = False) -> CharTable:
     rows = []
     for kind, lam in table_rows(n):
         cells = []
-        for _, rep in cols:
-            if kind == "pair":
-                v = (char_T(lam, rep) + char_T(conjugate(lam), rep)).scale(half)
+        for cc, rep in cols:
+            if kind == "pair":  # the half sum of two plain values, in Z[q, q^-1]
+                v = _scalar(_ram(lam, cc.cycle_type) + _ram(conjugate(lam), cc.cycle_type), 2)
             else:
-                tw = twisted_trace(lam, rep)
-                plain = char_T(lam, rep)
+                plain = plain_char(lam, cc.cycle_type)
+                tw = _twisted_value(lam, rep)
                 v = (plain + tw).scale(half) if kind == "plus" else (plain - tw).scale(half)
             cells.append(v)
         rows.append(TableRow(kind, lam, tuple(cells)))

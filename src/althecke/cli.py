@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 
 from .scalars import (
     DEFAULT_N_MAX,
@@ -29,9 +30,11 @@ from .scalars import (
     pretty_tower,
     q_minus_qinv,
     ratfunc_to_obj,
+    tower_from_obj,
     tower_to_obj,
 )
 from .combinat import (
+    compositions_of,
     conjugate,
     diagonal_hooks,
     is_self_conjugate,
@@ -41,23 +44,25 @@ from .combinat import (
 )
 from .symgroup import (
     all_permutations,
-    composition_of,
+    alt_classes,
     from_word,
     parse_word,
     reduce_to_composition,
     w_of_composition,
 )
-from .hecke import HeckeElem, a_elem, b_elem, e_elem, hash_inv, hecke_to_obj
-from .specht import build_rep, char_T, char_split, twisted_trace
+from .hecke import a_elem, b_elem, hecke_to_obj
+from .specht import build_rep, char_T, twisted_trace
 from .chars import (
     alt_class_polys,
     char_table,
+    char_via_class_polys,
     class_polys,
     cute_identity,
-    delta_coefficients,
-    equiv_class_check,
     greene_identity,
     resolve_sigma,
+    split_char_values,
+    table_csv,
+    table_rows,
     twisted_char,
     twisted_char_by_tableaux,
     twisted_char_closed,
@@ -91,32 +96,60 @@ def _cache_dir():
     return os.environ.get("ALTHECKE_CACHE_DIR")
 
 
-def _cached_table(n: int, force: bool):
+def _load_cached_table(path: str, n: int):
+    """The table document stored at path, or None unless it is the canonical
+    table of degree n under the resolved sign and every cell loads."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        obj = json.loads(text)
+        columns = [cc.label() for cc, _ in alt_classes(n)]
+        ok = (text == canonical_json(obj)
+              and obj["n"] == n and obj["sigma"] == resolve_sigma()
+              and obj["convention"] == "oracle" and obj["columns"] == columns
+              and len(obj["rows"]) == len(table_rows(n))
+              and all(len(row["cells"]) == len(columns)
+                      and all(tower_to_obj(tower_from_obj(c)) == c for c in row["cells"])
+                      for row in obj["rows"]))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None
+    return obj if ok else None
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace the file at path in one step, so readers never see part of it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _cached_table(n: int, force: bool) -> dict:
+    """The table document of degree n, from the cache directory when it holds
+    a valid one; a missing or invalid cache file is recomputed and replaced."""
     cache = _cache_dir()
     path = None
     if cache:
         os.makedirs(cache, exist_ok=True)
         path = os.path.join(cache, f"table_n{n}.json")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh), None
-    table = char_table(n, force=force)
-    obj = table.to_obj()
+        obj = _load_cached_table(path, n)
+        if obj is not None:
+            return obj
+    obj = char_table(n, force=force).to_obj()
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(obj))
-    return obj, table
+        _write_atomic(path, canonical_json(obj))
+    return obj
 
 
 def cmd_table(args) -> int:
     _guard_n(args.n, args.force)
-    obj, table = _cached_table(args.n, args.force)
-    if args.format == "csv":
-        if table is None:
-            table = char_table(args.n, force=args.force)
-        _emit(obj, "csv", table.to_csv())
-    else:
-        _emit(obj, "json")
+    obj = _cached_table(args.n, args.force)
+    _emit(obj, args.format, table_csv(obj) if args.format == "csv" else None)
     return 0
 
 
@@ -126,6 +159,7 @@ def cmd_char(args) -> int:
     _guard_n(n, args.force)
     word = parse_word(args.word) if args.word else ()
     w = from_word(word, n)
+    value = char_via_class_polys(lam, w)
     doc = {
         "command": "char",
         "n": n,
@@ -133,21 +167,20 @@ def cmd_char(args) -> int:
         "word": list(word),
         "convention": args.convention,
         "sigma": resolve_sigma(),
-        "hecke_char": tower_to_obj(char_T(lam, w)),
-        "hecke_char_pretty": pretty_tower(char_T(lam, w)),
+        "hecke_char": tower_to_obj(value),
+        "hecke_char_pretty": pretty_tower(value),
     }
     if w.is_even():
-        aw = a_elem(w)
-        half_sum = (char_T(lam, w) + char_T(conjugate(lam), w)).scale(
+        half_sum = (value + char_via_class_polys(conjugate(lam), w)).scale(
             RatFunc(1) / 2)
         doc["alt_char"] = tower_to_obj(half_sum)
         doc["alt_char_pretty"] = pretty_tower(half_sum)
         if is_self_conjugate(lam) and args.sign in ("+", "-", "both"):
-            values = {}
-            for s, name in ((1, "plus"), (-1, "minus")):
-                if args.sign in ("both", "+" if s > 0 else "-"):
-                    values[name] = _value_obj(char_split(lam, s, aw), args.convention)
-            doc["split"] = values
+            plus, minus = split_char_values(lam, w)
+            doc["split"] = {
+                name: _value_obj(v, args.convention)
+                for sign, name, v in (("+", "plus", plus), ("-", "minus", minus))
+                if args.sign in ("both", sign)}
     _emit(doc, args.format)
     return 0
 
@@ -270,21 +303,10 @@ def _suite_cute(args):
 
 
 def _suite_oracle(args):
-    from itertools import combinations
-
     total = bad = 0
     for n in range(2, args.n + 1):
-        compositions = []
-        for cuts in range(1 << (n - 1)):
-            parts, prev = [], 0
-            for pos in range(1, n):
-                if cuts & (1 << (pos - 1)):
-                    parts.append(pos - prev)
-                    prev = pos
-            parts.append(n - prev)
-            compositions.append(tuple(parts))
         for lam in self_conjugate_partitions(n):
-            for kappa in compositions:
+            for kappa in compositions_of(n):
                 total += 1
                 w = w_of_composition(kappa)
                 oracle = twisted_trace(lam, w)
@@ -317,8 +339,6 @@ def _suite_relations(args):
 
 
 def _suite_classpoly(args):
-    from .chars import char_via_class_polys
-
     total = bad = 0
     n = min(args.n, 4)
     for w in all_permutations(n):

@@ -37,6 +37,20 @@ def _gen_partitions(n: int, max_part: int):
             yield (first,) + rest
 
 
+def compositions_of(n: int) -> list:
+    """All 2^(n-1) compositions of n, ordered by their bitmask of cuts."""
+    out = []
+    for cuts in range(1 << max(n - 1, 0)):
+        parts, prev = [], 0
+        for pos in range(1, n):
+            if cuts & (1 << (pos - 1)):
+                parts.append(pos - prev)
+                prev = pos
+        parts.append(n - prev)
+        out.append(tuple(parts))
+    return out
+
+
 def is_partition(parts) -> bool:
     parts = tuple(parts)
     return all(p >= 1 for p in parts) and all(a >= b for a, b in zip(parts, parts[1:]))

@@ -923,12 +923,6 @@ class TowerElem:
     def __bool__(self):
         return bool(self.terms)
 
-    def scalar_part(self) -> RatFunc:
-        return self.terms.get(frozenset(), R_ZERO)
-
-    def is_scalar(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and frozenset() in self.terms)
-
     # -- ring operations ----------------------------------------------------
     @staticmethod
     def _coerce(other):

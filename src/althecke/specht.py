@@ -14,6 +14,11 @@ The conjugation flip tau sends v_t to the vector of the transposed tableau;
 for self-conjugate shapes it is an involution of the module, and the trace
 of (x followed by tau) is the ground-truth oracle every closed character
 formula in :mod:`althecke.chars` is validated against.
+
+This module is an oracle only: the tests, the ``verify`` suites and the
+sign resolution of :func:`althecke.chars.resolve_sigma` use its traces,
+while character tables and the ``char``/``tau-char``/``classpoly``
+commands compute from formulas without building a module.
 """
 
 from __future__ import annotations
@@ -195,12 +200,6 @@ def averaged_matrix(rep: SemiRep, w: Permutation):
     if w.length() % 2:
         hashed = mat_scale(hashed, RatFunc(-1))
     return mat_scale(mat_add(plain, hashed), RatFunc(1) / 2)
-
-
-def apply_tau(rep: SemiRep, mat):
-    """Right-compose with the conjugation flip: column j moves to tau^-1(j)."""
-    tau = rep.tau
-    return [{tau[j]: v for j, v in row.items()} for row in mat]
 
 
 # ---------------------------------------------------------------------------

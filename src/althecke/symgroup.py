@@ -123,10 +123,6 @@ class Permutation:
         """True iff length(self * s_i) < length(self)."""
         return self.one_line[i - 1] > self.one_line[i]
 
-    def has_left_descent(self, i: int) -> bool:
-        ol = self.one_line
-        return ol.index(i) > ol.index(i + 1)
-
     def reduced_word(self) -> tuple:
         """Deterministic reduced word: repeatedly strip the leftmost descent.
 
@@ -477,10 +473,6 @@ def all_permutations(n: int) -> tuple:
     perms = [Permutation._raw(p) for p in itertools.permutations(range(1, n + 1))]
     perms.sort(key=lambda w: (w.length(), w.one_line))
     return tuple(perms)
-
-
-def serialize_word(word) -> str:
-    return ",".join(str(i) for i in word)
 
 
 def parse_word(text: str) -> tuple:

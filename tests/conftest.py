@@ -1,18 +1,6 @@
 import pytest
 
-
-def compositions_of(n):
-    """All 2^(n-1) compositions of n."""
-    out = []
-    for cuts in range(1 << max(n - 1, 0)):
-        parts, prev = [], 0
-        for pos in range(1, n):
-            if cuts & (1 << (pos - 1)):
-                parts.append(pos - prev)
-                prev = pos
-        parts.append(n - prev)
-        out.append(tuple(parts))
-    return out
+from althecke.combinat import compositions_of
 
 
 def compositions_with_length(n, length):

@@ -15,6 +15,7 @@ from althecke.chars import (
     equiv_class_check,
     gamma_of_tableau,
     greene_identity,
+    plain_char,
     resolve_sigma,
     table_rows,
     technical_partner,
@@ -24,6 +25,7 @@ from althecke.chars import (
 )
 from althecke.combinat import (
     StdTableau,
+    conjugate,
     diagonal_hooks,
     eps_kappa,
     partitions_of,
@@ -312,3 +314,66 @@ def test_char_table_guard():
         char_table(13)
     with pytest.raises(ValueError):
         char_table(1)
+
+
+def test_plain_char_matches_matrix_oracle():
+    # partitions up to degree 7; compositions too where they are cheap, since
+    # plain_char sorts them before Ram's rule sees them
+    for n in range(1, 8):
+        kappas = compositions_of(n) if n <= 5 else partitions_of(n)
+        for lam in partitions_of(n):
+            for kappa in kappas:
+                assert plain_char(lam, kappa) == char_T(lam, w_of_composition(kappa)), \
+                    (lam, kappa)
+
+
+def _oracle_table(n):
+    """Rows (kind, shape, cells) of the table taken from the matrix traces."""
+    half = RatFunc(1) / 2
+    rows = []
+    for kind, lam in table_rows(n):
+        cells = []
+        for _, rep in alt_classes(n):
+            plain = char_T(lam, rep)
+            if kind == "pair":
+                cells.append((plain + char_T(conjugate(lam), rep)).scale(half))
+            else:
+                tw = twisted_trace(lam, rep)
+                cells.append((plain + tw if kind == "plus" else plain - tw).scale(half))
+        rows.append((kind, lam, tuple(cells)))
+    return rows
+
+
+def test_char_table_matches_oracle_table():
+    for n in range(2, 8):
+        table = char_table(n)
+        assert [(row.kind, row.shape, row.cells) for row in table.rows] == _oracle_table(n)
+
+
+def test_char_command_matches_split_oracle():
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    from althecke.cli import main
+    from althecke.scalars import tower_to_obj
+    from althecke.specht import char_split
+
+    cases = [((3, 1, 1), (1, 2)), ((3, 1, 1), (2, 1, 3, 2)), ((3, 1, 1), (4, 3, 1, 2, 4, 3)),
+             ((3, 2, 1), (1, 3)), ((3, 2, 1), (2, 3, 4, 5)), ((3, 2, 1), (5, 1, 2, 4, 3, 2))]
+    half = RatFunc(1) / 2
+    for lam, word in cases:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["char", "--shape", ",".join(map(str, lam)),
+                         "--word", ",".join(map(str, word))])
+        assert code == 0
+        doc = json.loads(buf.getvalue())
+        w = from_word(word, sum(lam))
+        assert w.is_even()
+        assert doc["hecke_char"] == tower_to_obj(char_T(lam, w))
+        alt = (char_T(lam, w) + char_T(conjugate(lam), w)).scale(half)
+        assert doc["alt_char"] == tower_to_obj(alt)
+        aw = a_elem(w)
+        assert doc["split"]["plus"]["value"] == tower_to_obj(char_split(lam, 1, aw))
+        assert doc["split"]["minus"]["value"] == tower_to_obj(char_split(lam, -1, aw))

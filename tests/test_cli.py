@@ -117,3 +117,32 @@ def test_cache_dir_roundtrip(tmp_path, monkeypatch):
     assert (tmp_path / "table_n3.json").exists()
     code2, out2 = run_cli(["table", "-n", "3"])  # served from the cache file
     assert out1 == out2
+
+
+def test_resource_guard_force_table_n13():
+    code, out = run_cli(["table", "-n", "13", "--force"])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 55
+
+
+def test_cache_corrupt_file_is_recomputed(tmp_path, monkeypatch, goldens):
+    monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(tmp_path))
+    golden = (goldens / "table_n3.json").read_text()
+    cached = tmp_path / "table_n3.json"
+    cached.write_text(golden[: len(golden) // 2])  # a write cut short
+    code, out = run_cli(["table", "-n", "3", "--format", "csv"])
+    assert code == 0
+    assert out == (goldens / "table_n3.csv").read_text()
+    assert cached.read_text() + "\n" == golden  # replaced by the full table
+    code, out = run_cli(["table", "-n", "3"])
+    assert code == 0 and out == golden
+
+
+def test_cache_wrong_degree_file_is_recomputed(tmp_path, monkeypatch, goldens):
+    monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(tmp_path))
+    cached = tmp_path / "table_n3.json"
+    cached.write_text((goldens / "table_n4.json").read_text().rstrip("\n"))
+    code, out = run_cli(["table", "-n", "3"])
+    assert code == 0
+    assert out == (goldens / "table_n3.json").read_text()
+    assert json.loads(cached.read_text())["n"] == 3
