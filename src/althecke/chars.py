@@ -52,9 +52,9 @@ from .combinat import (
 )
 from .hecke import NotAlternatingError, b_in_a, t_in_b
 from .scalars import (
-    DEFAULT_N_MAX,
     GaussianRational,
     LaurentPoly,
+    R_HALF,
     R_ONE,
     R_ZERO,
     RatFunc,
@@ -580,8 +580,7 @@ def split_char_values(lam, w: Permutation, basis: str = "A"):
         raise ValueError("basis must be A or B")
     plain = char_of_elem_via_class_polys(lam, elem)
     twisted = twisted_char_of_elem(lam, elem)
-    half = RatFunc(1) / 2
-    return (plain + twisted).scale(half), (plain - twisted).scale(half)
+    return (plain + twisted).scale(R_HALF), (plain - twisted).scale(R_HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +657,10 @@ def table_rows(n: int):
     return plan
 
 
-def char_table(n: int, force: bool = False) -> CharTable:
+def char_table(n: int) -> CharTable:
     if n < 2:
         raise ValueError("character tables need degree at least 2")
-    if n > DEFAULT_N_MAX and not force:
-        raise ValueError(f"degree {n} exceeds the resource guard {DEFAULT_N_MAX}")
     cols = tuple(alt_classes(n))
-    half = RatFunc(1) / 2
     rows = []
     for kind, lam in table_rows(n):
         cells = []
@@ -674,7 +670,7 @@ def char_table(n: int, force: bool = False) -> CharTable:
             else:
                 plain = plain_char(lam, cc.cycle_type)
                 tw = _twisted_value(lam, rep)
-                v = (plain + tw).scale(half) if kind == "plus" else (plain - tw).scale(half)
+                v = (plain + tw).scale(R_HALF) if kind == "plus" else (plain - tw).scale(R_HALF)
             cells.append(v)
         rows.append(TableRow(kind, lam, tuple(cells)))
     return CharTable(n, resolve_sigma(), cols, tuple(rows))

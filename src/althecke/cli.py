@@ -25,7 +25,7 @@ import tempfile
 
 from .scalars import (
     DEFAULT_N_MAX,
-    RatFunc,
+    R_HALF,
     canonical_json,
     pretty_tower,
     q_minus_qinv,
@@ -129,26 +129,35 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _cached_table(n: int, force: bool) -> dict:
+def _unusable_cache(cache: str, err: OSError):
+    sys.stderr.write(f"error: cache directory {cache} is unusable: {err}\n")
+    raise SystemExit(2)
+
+
+def _cached_table(n: int) -> dict:
     """The table document of degree n, from the cache directory when it holds
     a valid one; a missing or invalid cache file is recomputed and replaced."""
     cache = _cache_dir()
-    path = None
-    if cache:
+    if not cache:
+        return char_table(n).to_obj()
+    try:
         os.makedirs(cache, exist_ok=True)
-        path = os.path.join(cache, f"table_n{n}.json")
-        obj = _load_cached_table(path, n)
-        if obj is not None:
-            return obj
-    obj = char_table(n, force=force).to_obj()
-    if path:
-        _write_atomic(path, canonical_json(obj))
+    except OSError as err:
+        _unusable_cache(cache, err)
+    path = os.path.join(cache, f"table_n{n}.json")
+    obj = _load_cached_table(path, n)
+    if obj is None:
+        obj = char_table(n).to_obj()
+        try:
+            _write_atomic(path, canonical_json(obj))
+        except OSError as err:
+            _unusable_cache(cache, err)
     return obj
 
 
 def cmd_table(args) -> int:
     _guard_n(args.n, args.force)
-    obj = _cached_table(args.n, args.force)
+    obj = _cached_table(args.n)
     _emit(obj, args.format, table_csv(obj) if args.format == "csv" else None)
     return 0
 
@@ -171,8 +180,7 @@ def cmd_char(args) -> int:
         "hecke_char_pretty": pretty_tower(value),
     }
     if w.is_even():
-        half_sum = (value + char_via_class_polys(conjugate(lam), w)).scale(
-            RatFunc(1) / 2)
+        half_sum = (value + char_via_class_polys(conjugate(lam), w)).scale(R_HALF)
         doc["alt_char"] = tower_to_obj(half_sum)
         doc["alt_char_pretty"] = pretty_tower(half_sum)
         if is_self_conjugate(lam) and args.sign in ("+", "-", "both"):

@@ -5,10 +5,16 @@ Three layers, all immutable and hash-stable:
 * :class:`GaussianRational` -- numbers a + b*sqrt(-1) with exact rational
   a and b.
 * :class:`LaurentPoly` and :class:`RatFunc` -- Laurent polynomials and
-  reduced rational functions in q over the Gaussian rationals.  RatFunc
-  keeps a unique canonical form (coprime, denominator a polynomial with
-  nonzero constant term and leading coefficient 1), so equal values have
-  identical stored representations and serialize byte-identically.
+  reduced rational functions in q over the Gaussian rationals.  A
+  LaurentPoly stores Gaussian-integer numerators (re, im) over one positive
+  integer denominator, in lowest terms, so its arithmetic is integer
+  arithmetic: one convolution for products, one primitive pseudo-remainder
+  sequence over Z[sqrt(-1)] for gcds, one pseudo-division for exact
+  quotients.  GaussianRational coefficients are built only when a caller
+  reads them.  RatFunc keeps a unique canonical form (coprime, denominator
+  a polynomial with nonzero constant term and leading coefficient 1), so
+  equal values have identical stored representations and serialize
+  byte-identically.
 * :class:`TowerElem` -- the quadratic square-root tower.  For each k >= 2
   we adjoin a formal generator y_k with y_k**2 = 1 + q^2 + ... + q^(2k-2),
   that is, y_k**2 = [k]/q for the q-integer [k].  Normalizing the radicand
@@ -157,8 +163,6 @@ class GaussianRational:
 
 G_ZERO = GaussianRational(0)
 G_ONE = GaussianRational(1)
-G_I = GaussianRational(0, 1)
-G_HALF = GaussianRational(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -166,45 +170,47 @@ G_HALF = GaussianRational(Fraction(1, 2))
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in q; zero coefficients are never stored."""
+    """Sparse Laurent polynomial in q over the Gaussian rationals.
 
-    __slots__ = ("_c", "_hash", "_iv")
+    Stored as Gaussian-integer numerators ``_c = {exp: (re, im)}`` over one
+    positive integer denominator ``_d``, in lowest terms: no prime divides
+    ``_d`` and every numerator component, zero numerators are never stored,
+    and the zero polynomial has ``_d == 1``.  Equal values therefore have equal
+    storage.  Coefficients leave as :class:`GaussianRational` only through
+    :meth:`items`, :meth:`coeff`, :meth:`evaluate` and the printers.
+    """
+
+    __slots__ = ("_c", "_d", "_hash")
 
     def __init__(self, coeffs=None):
-        c = {}
+        gs = {}
+        d = 1
         if coeffs:
             for e, g in coeffs.items():
                 if not isinstance(g, GaussianRational):
                     g = GaussianRational(g)
                 if g:
-                    c[e] = g
+                    gs[e] = g
+                    d = math.lcm(d, g.re.denominator, g.im.denominator)
+        # over the lcm of the denominators the numerators are already coprime to d
+        c = {e: (g.re.numerator * (d // g.re.denominator),
+                 g.im.numerator * (d // g.im.denominator)) for e, g in gs.items()}
         object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_iv", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
-    def _raw(c: dict) -> "LaurentPoly":
+    def _raw(c: dict, d: int = 1) -> "LaurentPoly":
+        """Build from integer pairs over d without reduction; the caller
+        guarantees lowest terms."""
         p = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(p, "_c", c)
+        object.__setattr__(p, "_d", d)
         object.__setattr__(p, "_hash", None)
-        object.__setattr__(p, "_iv", False)
         return p
-
-    def _int_view(self):
-        """{exp: int} when all coefficients are rational integers, else None."""
-        iv = self._iv
-        if iv is False:
-            iv = {}
-            for e, g in self._c.items():
-                if g.im or g.re.denominator != 1:
-                    iv = None
-                    break
-                iv[e] = g.re.numerator
-            object.__setattr__(self, "_iv", iv)
-        return iv
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -221,14 +227,19 @@ class LaurentPoly:
 
     @classmethod
     def q_power(cls, exp: int) -> "LaurentPoly":
-        return cls({exp: 1})
+        return cls._raw({exp: (1, 0)})
 
     # -- inspection -------------------------------------------------------
+    def _gauss(self, pair) -> GaussianRational:
+        d = self._d
+        return GaussianRational(Fraction(pair[0], d), Fraction(pair[1], d))
+
     def items(self):
-        return sorted(self._c.items())
+        return [(e, self._gauss(c)) for e, c in sorted(self._c.items())]
 
     def coeff(self, exp: int) -> GaussianRational:
-        return self._c.get(exp, G_ZERO)
+        c = self._c.get(exp)
+        return G_ZERO if c is None else self._gauss(c)
 
     def is_zero(self) -> bool:
         return not self._c
@@ -250,116 +261,109 @@ class LaurentPoly:
         return max(self._c)
 
     def is_one(self) -> bool:
-        return len(self._c) == 1 and self._c.get(0) == G_ONE
+        return self._d == 1 and len(self._c) == 1 and self._c.get(0) == (1, 0)
 
     def is_monomial(self) -> bool:
         return len(self._c) == 1
 
     # -- arithmetic -------------------------------------------------------
+    def _combine(self, other, sign: int) -> "LaurentPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        d1, d2 = self._d, other._d
+        g = math.gcd(d1, d2)
+        m1, m2 = d2 // g, sign * (d1 // g)
+        c = dict(self._c) if m1 == 1 else {e: (a * m1, b * m1) for e, (a, b) in self._c.items()}
+        for e, (a, b) in other._c.items():
+            a, b = a * m2, b * m2
+            s = c.get(e)
+            if s is not None:
+                a, b = a + s[0], b + s[1]
+            if a or b:
+                c[e] = (a, b)
+            else:
+                del c[e]
+        return _lowest(c, d1 * m1)
+
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, g in other._c.items():
-            s = c.get(e)
-            if s is None:
-                c[e] = g
-            else:
-                s = s + g
-                if s:
-                    c[e] = s
-                else:
-                    del c[e]
-        return LaurentPoly._raw(c)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, g in other._c.items():
-            s = c.get(e)
-            if s is None:
-                c[e] = -g
-            else:
-                s = s - g
-                if s:
-                    c[e] = s
-                else:
-                    del c[e]
-        return LaurentPoly._raw(c)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -g for e, g in self._c.items()})
+        return LaurentPoly._raw({e: (-a, -b) for e, (a, b) in self._c.items()}, self._d)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._c or not other._c:
-            return L_ZERO
-        ia, ib = self._int_view(), other._int_view()
-        if ia is not None and ib is not None:
-            if len(ia) > len(ib):
-                ia, ib = ib, ia
-            acc = {}
-            for ea, ga in ia.items():
-                for eb, gb in ib.items():
-                    e = ea + eb
-                    acc[e] = acc.get(e, 0) + ga * gb
-            return LaurentPoly._raw(
-                {e: GaussianRational(v) for e, v in acc.items() if v})
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
         c = {}
-        for ea, ga in a.items():
-            for eb, gb in b.items():
+        for ea, (ar, ai) in a.items():
+            for eb, (br, bi) in b.items():
                 e = ea + eb
-                g = ga * gb
                 s = c.get(e)
                 if s is None:
-                    c[e] = g
+                    c[e] = (ar * br - ai * bi, ar * bi + ai * br)
                 else:
-                    s = s + g
-                    if s:
-                        c[e] = s
-                    else:
-                        del c[e]
-        return LaurentPoly._raw(c)
+                    c[e] = (s[0] + ar * br - ai * bi, s[1] + ar * bi + ai * br)
+        return _lowest({e: v for e, v in c.items() if v != (0, 0)}, self._d * other._d)
+
+    def _scaled(self, re: int, im: int, den: int) -> "LaurentPoly":
+        """Multiply by (re + im*sqrt(-1)) / den, for integers with den > 0."""
+        return _lowest({e: (a * re - b * im, a * im + b * re) for e, (a, b) in self._c.items()},
+                       self._d * den)
 
     def scale(self, g: GaussianRational) -> "LaurentPoly":
         if not g:
             return L_ZERO
-        return LaurentPoly._raw({e: c * g for e, c in self._c.items()})
+        m = math.lcm(g.re.denominator, g.im.denominator)
+        return self._scaled(g.re.numerator * (m // g.re.denominator),
+                            g.im.numerator * (m // g.im.denominator), m)
+
+    def _recip_lead(self):
+        """(re, im, den) such that (re + im*sqrt(-1)) / den inverts the leading
+        coefficient, or None when the leading coefficient is 1."""
+        a, b = self._c[max(self._c)]
+        d = self._d
+        if a == d and not b:
+            return None
+        return d * a, -d * b, a * a + b * b
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q**k."""
         if not k:
             return self
-        return LaurentPoly._raw({e + k: c for e, c in self._c.items()})
+        return LaurentPoly._raw({e + k: c for e, c in self._c.items()}, self._d)
 
     def bar(self) -> "LaurentPoly":
         """The involution q -> q**-1 (sqrt(-1) is fixed)."""
-        return LaurentPoly._raw({-e: c for e, c in self._c.items()})
+        return LaurentPoly._raw({-e: c for e, c in self._c.items()}, self._d)
 
     def evaluate(self, q0: Fraction) -> GaussianRational:
         re = Fraction(0)
         im = Fraction(0)
-        for e, g in self._c.items():
+        for e, (a, b) in self._c.items():
             p = q0 ** e
-            re += g.re * p
-            im += g.im * p
-        return GaussianRational(re, im)
+            re += a * p
+            im += b * p
+        return GaussianRational(re / self._d, im / self._d)
 
     # -- structure ----------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._c == other._c
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self._c.items())))
+            h = hash((self._d, tuple(sorted(self._c.items()))))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -394,128 +398,113 @@ class LaurentPoly:
         return out
 
 
-L_ZERO = LaurentPoly._raw({})
-L_ONE = LaurentPoly._raw({0: G_ONE})
-
-
-# -- dense polynomial helpers (nonnegative exponents) for gcd reduction ------
-
-def _dense(p: LaurentPoly) -> list:
-    d = p.degree()
-    out = [G_ZERO] * (d + 1)
-    for e, g in p._c.items():
-        out[e] = g
-    return out
-
-
-def _dense_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _dense_divmod(a: list, b: list):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = lb.inverse()
-    q = [G_ZERO] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        f = a[-1] * inv
-        q[da - db] = f
-        for i, bc in enumerate(b):
-            a[da - db + i] = a[da - db + i] - f * bc
-        _dense_trim(a)
-        if not a:
-            break
-    return q, a
-
-
-def _dense_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _dense_divmod(a, b)
-        if r:
-            # re-monicize each remainder to keep coefficient growth in check
-            lc = r[-1]
-            if lc != G_ONE:
-                inv = lc.inverse()
-                r = [c * inv for c in r]
-        a, b = b, r
-    lc = a[-1]
-    if lc != G_ONE:
-        inv = lc.inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _int_coeffs(p: LaurentPoly):
-    """Integer coefficient list 0..deg, or None if any coefficient has an
-    imaginary part (real fractions get cleared by the common denominator)."""
-    import math as _math
-
-    lcm = 1
-    for g in p._c.values():
-        if g.im:
-            return None
-        lcm = lcm * g.re.denominator // _math.gcd(lcm, g.re.denominator)
-    out = [0] * (p.degree() + 1)
-    for e, g in p._c.items():
-        out[e] = int(g.re * lcm)
-    return out
-
-
-def _int_prs_gcd(a: list, b: list) -> list:
-    """Primitive pseudo-remainder sequence over the integers."""
-    import math as _math
-
-    def prim(v):
-        g = 0
-        for c in v:
-            g = _math.gcd(g, c)
+def _lowest(c: dict, d: int) -> LaurentPoly:
+    """The polynomial with numerators c over d > 0, reduced to lowest terms."""
+    if d != 1:
+        g = d
+        for a, b in c.values():
+            g = math.gcd(g, a, b)
             if g == 1:
-                return v
-        return [c // g for c in v]
+                break
+        if g != 1:
+            d //= g
+            c = {e: (a // g, b // g) for e, (a, b) in c.items()}
+    return LaurentPoly._raw(c, d)
 
-    def prem(u, v):
-        r = list(u)
-        dv, lv = len(v) - 1, v[-1]
-        while r and len(r) - 1 >= dv:
-            f = r[-1]
-            k = len(r) - 1 - dv
-            r = [c * lv for c in r]
-            for j, vc in enumerate(v):
-                r[k + j] -= f * vc
-            while r and not r[-1]:
-                r.pop()
-        return r
 
-    a, b = prim(a), prim(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = prem(a, b)
-        a, b = b, (prim(r) if r else [])
-    return prim(a)
+L_ZERO = LaurentPoly._raw({})
+L_ONE = LaurentPoly._raw({0: (1, 0)})
+
+
+# -- polynomial gcd and exact division over Z[sqrt(-1)] ----------------------
+#
+# Dense coefficient lists (index = exponent >= 0) of Gaussian-integer pairs:
+# the numerators of a LaurentPoly, whose denominator only rescales.
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _numerators(p: LaurentPoly) -> list:
+    out = [(0, 0)] * (p.degree() + 1)
+    for e, c in p._c.items():
+        out[e] = c
+    return out
+
+
+def _from_numerators(v: list) -> LaurentPoly:
+    return LaurentPoly._raw({e: c for e, c in enumerate(v) if c != (0, 0)})
+
+
+def _gauss_gcd(a, b):
+    """A gcd of two Gaussian integers by Euclid with rounded quotients."""
+    while b != (0, 0):
+        n = b[0] * b[0] + b[1] * b[1]
+        x, y = _gmul(a, (b[0], -b[1]))
+        q = ((2 * x + n) // (2 * n), (2 * y + n) // (2 * n))
+        qb = _gmul(q, b)
+        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+    return a
+
+
+def _primitive(v: list) -> list:
+    """v divided by the Gaussian-integer gcd of its entries."""
+    g = (0, 0)
+    for c in v:
+        g = _gauss_gcd(g, c)
+        if g[0] * g[0] + g[1] * g[1] == 1:
+            return v
+    n = g[0] * g[0] + g[1] * g[1]
+    conj = (g[0], -g[1])
+    return [(x // n, y // n) for x, y in (_gmul(c, conj) for c in v)]
+
+
+def _pseudo_divmod(u: list, v: list):
+    """Pseudo-division over Z[sqrt(-1)]: (quo, rem, m) with
+    m * u == quo * v + rem, deg rem < deg v and m a power of lc(v)."""
+    rem = list(u)
+    dv, lv = len(v) - 1, v[-1]
+    quo = [(0, 0)] * max(len(u) - dv, 0)
+    m = (1, 0)
+    while len(rem) > dv:
+        f = rem[-1]
+        s = len(rem) - 1 - dv
+        if lv != (1, 0):
+            rem = [_gmul(c, lv) for c in rem]
+            quo = [_gmul(c, lv) for c in quo]
+            m = _gmul(m, lv)
+        quo[s] = f
+        for j, c in enumerate(v):
+            x, y = _gmul(f, c)
+            r = rem[s + j]
+            rem[s + j] = (r[0] - x, r[1] - y)
+        while rem and rem[-1] == (0, 0):
+            rem.pop()
+    return quo, rem, m
 
 
 def _poly_gcd(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of two polynomials with nonzero constant terms."""
-    pi, ri = _int_coeffs(p), _int_coeffs(r)
-    if pi is not None and ri is not None:
-        g = _int_prs_gcd(pi, ri)
-        lc = Fraction(g[-1])
-        return LaurentPoly._raw({e: GaussianRational(Fraction(c) / lc)
-                                 for e, c in enumerate(g) if c})
-    g = _dense_gcd(_dense(p), _dense(r))
-    return LaurentPoly._raw({e: c for e, c in enumerate(g) if c})
+    """Monic gcd of two polynomials with nonzero constant terms: a primitive
+    pseudo-remainder sequence over Z[sqrt(-1)] (Collins, J. ACM 14, 1967)."""
+    a, b = _primitive(_numerators(p)), _primitive(_numerators(r))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        rem = _pseudo_divmod(a, b)[1]
+        a, b = b, (_primitive(rem) if rem else [])
+    g = _from_numerators(a)
+    inv = g._recip_lead()
+    return g._scaled(*inv) if inv else g
 
 
 def _poly_exact_div(p: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    q, r = _dense_divmod(_dense(p), _dense(g))
-    if r:
+    quo, rem, m = _pseudo_divmod(_numerators(p), _numerators(g))
+    if rem:
         raise ArithmeticError("inexact polynomial division")
-    return LaurentPoly._raw({e: c for e, c in enumerate(q) if c})
+    # m * P == quo * G for the numerators P, G of p and g, so
+    # p / g == quo * g._d / (m * p._d) == quo * g._d * conj(m) / (|m|**2 * p._d)
+    return _from_numerators(quo)._scaled(g._d * m[0], -g._d * m[1],
+                                         (m[0] * m[0] + m[1] * m[1]) * p._d)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +619,10 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero rational function")
         a = self.num.valuation()
         npoly = self.num.shift(-a) if a else self.num
-        lc = npoly.coeff(npoly.degree())
-        if lc == G_ONE:
+        inv = npoly._recip_lead()
+        if inv is None:
             return RatFunc._make(self.den.shift(-a), npoly)
-        inv = lc.inverse()
-        return RatFunc._make(self.den.scale(inv).shift(-a), npoly.scale(inv))
+        return RatFunc._make(self.den._scaled(*inv).shift(-a), npoly._scaled(*inv))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -686,13 +674,9 @@ def _reduce(num: LaurentPoly, den: LaurentPoly):
     if num.is_zero():
         return L_ZERO, L_ONE
     if den.is_monomial():
-        e = den.valuation()
-        g = den.coeff(e)
-        if g == G_ONE:
-            num2 = num.shift(-e) if e else num
-        else:
-            num2 = num.scale(g.inverse()).shift(-e)
-        return num2, L_ONE
+        inv = den._recip_lead()
+        num2 = num._scaled(*inv) if inv else num
+        return num2.shift(-den.valuation()), L_ONE
     a = num.valuation()
     b = den.valuation()
     pnum = num.shift(-a)
@@ -703,14 +687,13 @@ def _reduce(num: LaurentPoly, den: LaurentPoly):
             pnum = _poly_exact_div(pnum, g)
             pden = _poly_exact_div(pden, g)
             if pden.is_monomial():
-                lc = pden.coeff(pden.degree())
-                num2 = pnum if lc == G_ONE else pnum.scale(lc.inverse())
+                inv = pden._recip_lead()
+                num2 = pnum._scaled(*inv) if inv else pnum
                 return num2.shift(a - b), L_ONE
-    lc = pden.coeff(pden.degree())
-    if lc != G_ONE:
-        inv = lc.inverse()
-        pnum = pnum.scale(inv)
-        pden = pden.scale(inv)
+    inv = pden._recip_lead()
+    if inv:
+        pnum = pnum._scaled(*inv)
+        pden = pden._scaled(*inv)
     return pnum.shift(a - b), pden
 
 
@@ -803,8 +786,8 @@ def _rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
 
 R_ZERO = RatFunc._make(L_ZERO, L_ONE)
 R_ONE = RatFunc._make(L_ONE, L_ONE)
-R_HALF = RatFunc._make(LaurentPoly._raw({0: G_HALF}), L_ONE)
-R_I = RatFunc._make(LaurentPoly._raw({0: G_I}), L_ONE)
+R_HALF = RatFunc._make(LaurentPoly._raw({0: (1, 0)}, 2), L_ONE)
+R_I = RatFunc._make(LaurentPoly._raw({0: (0, 1)}), L_ONE)
 
 
 @lru_cache(maxsize=None)
@@ -1062,7 +1045,7 @@ def alpha_coeff(k: int) -> TowerElem:
         return -alpha_coeff(-k)
     if k == 1:
         return T_ZERO
-    coeff = RatFunc._make(LaurentPoly._raw({1: G_I}), L_ONE) / qint(k)
+    coeff = RatFunc._make(LaurentPoly._raw({1: (0, 1)}), L_ONE) / qint(k)
     return TowerElem.gen(k + 1) * TowerElem.gen(k - 1) * coeff
 
 
@@ -1113,8 +1096,14 @@ def specialize_numeric(a: TowerElem, q0, branch=None) -> complex:
 # ---------------------------------------------------------------------------
 
 def _laurent_to_obj(p: LaurentPoly) -> list:
-    return [[e, g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator]
-            for e, g in p.items()]
+    """[[exp, re numerator, re denominator, im numerator, im denominator], ...]
+    with each fraction in lowest terms, read off the integer pairs."""
+    d = p._d
+    out = []
+    for e, (a, b) in sorted(p._c.items()):
+        ga, gb = math.gcd(a, d), math.gcd(b, d)
+        out.append([e, a // ga, d // ga, b // gb, d // gb])
+    return out
 
 
 def _laurent_from_obj(obj) -> LaurentPoly:

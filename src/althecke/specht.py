@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .combinat import NotSymmetricError, conjugate, std_tableaux
 from .hecke import HeckeElem, NotAlternatingError, hash_inv, is_alternating
-from .scalars import DEFAULT_N_MAX, R_ONE, RatFunc, TowerElem, alpha_coeff, qint
+from .scalars import R_HALF, R_ONE, RatFunc, TowerElem, alpha_coeff, qint
 from .symgroup import Permutation
 
 
@@ -61,9 +61,6 @@ class SemiRep:
 @lru_cache(maxsize=None)
 def build_rep(lam) -> SemiRep:
     lam = tuple(lam)
-    if sum(lam) > DEFAULT_N_MAX:
-        raise ValueError(
-            f"shape size {sum(lam)} exceeds the resource guard {DEFAULT_N_MAX}")
     basis = std_tableaux(lam)
     index = {t: k for k, t in enumerate(basis)}
     n = sum(lam)
@@ -199,7 +196,7 @@ def averaged_matrix(rep: SemiRep, w: Permutation):
     hashed = hashed_word_matrix(rep, word)
     if w.length() % 2:
         hashed = mat_scale(hashed, RatFunc(-1))
-    return mat_scale(mat_add(plain, hashed), RatFunc(1) / 2)
+    return mat_scale(mat_add(plain, hashed), R_HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +265,11 @@ def char_split(lam, sign: int, x: HeckeElem) -> TowerElem:
         raise NotSymmetricError(f"{lam} is not self-conjugate")
     if not is_alternating(x):
         raise NotAlternatingError("element is not fixed by the sign-twisted involution")
-    half = RatFunc(1) / 2
     plus = char_T(lam, x)
     tw = twisted_trace(lam, x)
     if sign >= 0:
-        return (plus + tw).scale(half)
-    return (plus - tw).scale(half)
+        return (plus + tw).scale(R_HALF)
+    return (plus - tw).scale(R_HALF)
 
 
 def twist_check(lam, w: Permutation) -> bool:

@@ -310,8 +310,7 @@ def test_char_table_json_deterministic():
 
 
 def test_char_table_guard():
-    with pytest.raises(ValueError):
-        char_table(13)
+    # the n <= 12 resource guard is the command line's (test_resource_guard)
     with pytest.raises(ValueError):
         char_table(1)
 

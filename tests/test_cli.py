@@ -125,6 +125,17 @@ def test_resource_guard_force_table_n13():
     assert len(json.loads(out)["rows"]) == 55
 
 
+def test_cache_dir_below_regular_file_exits_cleanly(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(blocker / "sub"))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["table", "-n", "3"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cache directory ")
+
+
 def test_cache_corrupt_file_is_recomputed(tmp_path, monkeypatch, goldens):
     monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(tmp_path))
     golden = (goldens / "table_n3.json").read_text()

@@ -18,6 +18,7 @@ from althecke.scalars import (
     pretty_tower,
     q_minus_qinv,
     qint,
+    ratfunc_to_obj,
     specialize_numeric,
     tower_from_obj,
     tower_to_obj,
@@ -106,6 +107,59 @@ def test_ratfunc_field_axioms(a, b, c):
     assert a * (b * c) == (a * b) * c
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+def _naive_product(p, r):
+    out = {}
+    for e1, g1 in p.items():
+        for e2, g2 in r.items():
+            out[e1 + e2] = out.get(e1 + e2, GaussianRational(0)) + g1 * g2
+    return {e: g for e, g in out.items() if g}
+
+
+def _naive_sum(p, r, sign):
+    out = dict(p.items())
+    for e, g in r.items():
+        out[e] = out.get(e, GaussianRational(0)) + sign * g
+    return {e: g for e, g in out.items() if g}
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(), laurents(), gaussians())
+def test_laurent_arithmetic_matches_gaussian_coefficients(p, r, g):
+    # integer numerators over one denominator against GaussianRational sums
+    for got, want in ((p * r, _naive_product(p, r)),
+                      (p + r, _naive_sum(p, r, 1)),
+                      (p - r, _naive_sum(p, r, -1)),
+                      (p.scale(g), {e: c * g for e, c in p.items() if c * g})):
+        assert dict(got.items()) == want
+        assert got == LaurentPoly(want)  # one stored form per value
+
+
+def test_nonreal_common_factor_cancels():
+    i = GaussianRational(0, 1)
+    q_minus_i = LaurentPoly({1: 1, 0: -i})
+    num, den = LaurentPoly({1: 1, 0: 2}), LaurentPoly({1: 1, 0: 3})
+    a = RatFunc(q_minus_i * num, q_minus_i * den)
+    b = RatFunc(num, den)
+    assert a.num == b.num and a.den == b.den
+    assert canonical_json(ratfunc_to_obj(a)) == canonical_json(ratfunc_to_obj(b))
+    assert ratfunc_to_obj(a) == {"num": [[0, 2, 1, 0, 1], [1, 1, 1, 0, 1]],
+                                 "den": [[0, 3, 1, 0, 1], [1, 1, 1, 0, 1]]}
+    # non-real contents too: (2+6i)/(3-i) = 2i
+    a = RatFunc((q_minus_i * num).scale(GaussianRational(2, 6)),
+                (q_minus_i * den).scale(GaussianRational(3, -1)))
+    assert ratfunc_to_obj(a) == {"num": [[0, 0, 1, 4, 1], [1, 0, 1, 2, 1]],
+                                 "den": [[0, 3, 1, 0, 1], [1, 1, 1, 0, 1]]}
+
+
+def test_mixed_denominators_serialize():
+    r = RatFunc(Fraction(1, 2)) + RatFunc.q_power(1) * RatFunc(Fraction(1, 3))
+    assert ratfunc_to_obj(r) == {"num": [[0, 1, 2, 0, 1], [1, 1, 3, 0, 1]],
+                                 "den": [[0, 1, 1, 0, 1]]}
+    p = LaurentPoly({0: Fraction(1, 2), 2: GaussianRational(Fraction(1, 6), Fraction(-3, 4))})
+    assert ratfunc_to_obj(RatFunc(p, 3)) == {
+        "num": [[0, 1, 6, 0, 1], [2, 1, 18, -1, 4]], "den": [[0, 1, 1, 0, 1]]}
 
 
 def test_ratfunc_bar():

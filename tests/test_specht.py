@@ -53,6 +53,13 @@ def test_one_dimensional_shapes():
             assert sgn.generator_matrix(i) == [{0: mq}]
 
 
+def test_build_rep_has_no_size_guard():
+    # the degree guard is the command line's, so verify --force reaches here
+    rep = build_rep((13,))
+    assert rep.dim == 1
+    assert rep.generator_matrix(12) == [{0: TowerElem.from_scalar(RatFunc.q_power(1))}]
+
+
 def test_word_matrix_basics():
     rep = build_rep((2, 1))
     assert word_matrix(rep, ()) == mat_identity(2)
