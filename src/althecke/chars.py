@@ -71,10 +71,10 @@ from .specht import twisted_trace
 from .symgroup import (
     ConjClass,
     Drop2Step,
+    FlatStep,
     Permutation,
     alt_classes,
     an_class_of,
-    composition_of,
     increasing_word,
     is_min_length,
     reduce_to_composition,
@@ -243,16 +243,16 @@ def twisted_char_closed(lam, kappa, convention: str = "oracle") -> TowerElem:
 
 @lru_cache(maxsize=None)
 def _twisted_value(lam: tuple, w: Permutation) -> TowerElem:
-    kappa = composition_of(w)
-    if kappa is not None:
-        return twisted_char_closed(lam, kappa, "oracle")
-    _, path = reduce_to_composition(w)
-    step = path[0]
-    if isinstance(step, Drop2Step):
-        # shortening conjugation negates the twisted trace
-        return -_twisted_value(lam, step.target)
-    flipped = -_twisted_value(lam, step.target)
-    return flipped + _twisted_value(lam, step.witness).scale(q_minus_qinv())
+    # Fold the conjugation path from its end: the closed form at w_kappa,
+    # then each step back to its source negates the value, and a flat step
+    # also adds (q - q^-1) times the value at its shorter witness.
+    kappa, path = reduce_to_composition(w)
+    value = twisted_char_closed(lam, kappa, "oracle")
+    for step in reversed(path):
+        value = -value
+        if isinstance(step, FlatStep):
+            value = value + _twisted_value(lam, step.witness).scale(q_minus_qinv())
+    return value
 
 
 def twisted_char(lam, w: Permutation):
@@ -370,23 +370,20 @@ class ClassPolyTable:
 def _f_vector(w: Permutation) -> tuple:
     """Cycle-type class polynomials at w: ((cycle_type, RatFunc), ...).
 
-    Minimal-length elements are pure indicators; otherwise one elementary
-    conjugation step rewrites the value: a flat step leaves it unchanged,
-    a shortening step at s contributes the two-shorter conjugate plus
-    (q - q^-1) times the one-shorter product s*w.
+    Minimal-length elements are pure indicators.  Otherwise the conjugation
+    path of w is folded: a flat step leaves the value unchanged, and a
+    shortening step at s from x adds (q - q^-1) times the class polynomials
+    of the one-shorter product s*x, so the indicator of w's cycle type
+    collects one such term per DROP2 step.
     """
     if is_min_length(w):
         return ((w.cycle_type(), R_ONE),)
-    _, path = reduce_to_composition(w)
-    step = path[0]
-    if not isinstance(step, Drop2Step):
-        return _f_vector(step.target)
-    acc = {}
-    for ctype, c in _f_vector(step.target):
-        acc[ctype] = acc.get(ctype, R_ZERO) + c
+    acc = {w.cycle_type(): R_ONE}
     delta = q_minus_qinv()
-    for ctype, c in _f_vector(w.left_mult_s(step.s)):
-        acc[ctype] = acc.get(ctype, R_ZERO) + c * delta
+    for step in reduce_to_composition(w)[1]:
+        if isinstance(step, Drop2Step):
+            for ctype, c in _f_vector(step.source.left_mult_s(step.s)):
+                acc[ctype] = acc.get(ctype, R_ZERO) + c * delta
     return tuple(sorted((k, v) for k, v in acc.items() if v))
 
 

@@ -22,6 +22,7 @@ import os
 import random
 import sys
 import tempfile
+from functools import lru_cache
 
 from .scalars import (
     DEFAULT_N_MAX,
@@ -43,6 +44,7 @@ from .combinat import (
     self_conjugate_partitions,
 )
 from .symgroup import (
+    Drop2Step,
     all_permutations,
     alt_classes,
     from_word,
@@ -209,7 +211,7 @@ def cmd_tau_char(args) -> int:
     _, path = reduce_to_composition(w)
     steps = [
         {
-            "kind": "DROP2" if type(st).__name__ == "Drop2Step" else "FLAT",
+            "kind": "DROP2" if isinstance(st, Drop2Step) else "FLAT",
             "s": st.s,
             "from": list(st.source.one_line),
             "to": list(st.target.one_line),
@@ -420,7 +422,9 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="althecke",
         description="Exact irreducible characters of alternating Hecke algebras")

@@ -787,7 +787,6 @@ def _rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
 R_ZERO = RatFunc._make(L_ZERO, L_ONE)
 R_ONE = RatFunc._make(L_ONE, L_ONE)
 R_HALF = RatFunc._make(LaurentPoly._raw({0: (1, 0)}, 2), L_ONE)
-R_I = RatFunc._make(LaurentPoly._raw({0: (0, 1)}), L_ONE)
 
 
 @lru_cache(maxsize=None)

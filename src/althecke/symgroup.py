@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .combinat import partitions_of
+
 
 class MalformedWordError(ValueError):
     """A generator index was outside 1..n-1."""
@@ -284,20 +286,7 @@ def split_class_reps(kappa):
 
 def an_classes_partitions(n: int):
     """Partitions kappa of n with w_kappa even, in increasing lex order."""
-    out = [kappa for kappa in _partitions(n) if (n - len(kappa)) % 2 == 0]
-    out.sort()
-    return out
-
-
-def _partitions(n: int, max_part: int | None = None):
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+    return sorted(kappa for kappa in partitions_of(n) if (n - len(kappa)) % 2 == 0)
 
 
 def alt_classes(n: int):
@@ -371,53 +360,43 @@ def _flat_witness(w: Permutation, s: int):
 def reduce_to_composition(w: Permutation):
     """A deterministic path of elementary conjugations from w to some w_sigma.
 
-    Each stage runs a breadth-first search through same-length conjugates
-    (FLAT steps, smallest conjugating generator first) until it finds either
-    a composition-form element (done) or an element admitting a conjugation
-    that drops the length by two (DROP2), which is taken immediately.
+    Returns (sigma, path): the steps run from w to w_sigma, each step's
+    target being the next step's source, so a recursion over the path reads
+    it once, from the end.  Each stage is one :func:`_bfs_stage` from the
+    current element; a stage either reaches composition form or ends in a
+    DROP2 step, after which the next stage starts from its target.
     Termination is guaranteed because every element reaches minimal length
     by such moves and minimal elements reach composition form by flat ones.
     """
     path = []
     cur = w
-    while True:
-        kappa = composition_of(cur)
-        if kappa is not None:
-            return kappa, path
-        found = _bfs_stage(cur)
-        steps, kind = found
-        for st in steps:
-            path.append(st)
+    while (kappa := composition_of(cur)) is None:
+        path.extend(_bfs_stage(cur))
         cur = path[-1].target
-        if kind == "target":
-            return composition_of(cur), path
+    return kappa, path
 
 
-def _bfs_stage(start: Permutation):
-    """One BFS stage: returns (steps, kind) where steps lead from start
-    either through FLATs to a composition element (kind == "target") or
-    through FLATs plus one final DROP2 (kind == "drop")."""
+def _bfs_stage(start: Permutation) -> list:
+    """The steps of one breadth-first search through the same-length
+    conjugates of start (FLAT steps, smallest conjugating generator first).
+
+    The search stops at the first element that either admits a conjugation
+    dropping the length by two, and then the steps end with that DROP2, or
+    is in composition form, and then they end with the FLAT reaching it.
+    """
     n = start.n
     ln = start.length()
     parent = {start.one_line: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        drop_s = None
-        for s in range(1, n):
-            v = u.conj_s(s)
-            dl = v.length() - ln
-            if dl == -2:
-                drop_s = s
-                break
-        if drop_s is not None:
-            steps = _unwind(parent, u)
-            steps.append(Drop2Step(drop_s, u, u.conj_s(drop_s)))
-            return steps, "drop"
-        if composition_of(u) is not None and u != start:
-            return _unwind(parent, u), "target"
-        for s in range(1, n):
-            v = u.conj_s(s)
+        conjugates = [u.conj_s(s) for s in range(1, n)]
+        for s, v in enumerate(conjugates, 1):
+            if v.length() == ln - 2:
+                return _unwind(parent, u) + [Drop2Step(s, u, v)]
+        if u != start and composition_of(u) is not None:
+            return _unwind(parent, u)
+        for s, v in enumerate(conjugates, 1):
             if v.length() == ln and v != u and v.one_line not in parent:
                 parent[v.one_line] = (u, s)
                 queue.append(v)

@@ -44,10 +44,12 @@ from althecke.scalars import (
 )
 from althecke.specht import char_alt, char_T, twisted_trace
 from althecke.symgroup import (
+    Drop2Step,
     all_permutations,
     alt_classes,
     from_word,
     identity,
+    reduce_to_composition,
     split_class_reps,
     w_of_composition,
 )
@@ -376,3 +378,20 @@ def test_char_command_matches_split_oracle():
         aw = a_elem(w)
         assert doc["split"]["plus"]["value"] == tower_to_obj(char_split(lam, 1, aw))
         assert doc["split"]["minus"]["value"] == tower_to_obj(char_split(lam, -1, aw))
+
+
+def test_path_fold_matches_oracles_n6():
+    # permutations whose conjugation paths mix at least two DROP2 steps with
+    # a FLAT step, so both recursions fold over several steps of one path
+    mixed = []
+    for w in all_permutations(6):
+        path = reduce_to_composition(w)[1]
+        drops = sum(isinstance(st, Drop2Step) for st in path)
+        if drops >= 2 and drops < len(path):
+            mixed.append(w)
+    sample = random.Random(6).sample(mixed, 20)
+    for w in sample:
+        if w.is_even():
+            assert twisted_char((3, 2, 1), w)[0] == twisted_trace((3, 2, 1), w), w
+        for lam in partitions_of(6):
+            assert char_via_class_polys(lam, w) == char_T(lam, w), (lam, w)

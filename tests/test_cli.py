@@ -157,3 +157,16 @@ def test_cache_wrong_degree_file_is_recomputed(tmp_path, monkeypatch, goldens):
     assert code == 0
     assert out == (goldens / "table_n3.json").read_text()
     assert json.loads(cached.read_text())["n"] == 3
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    from althecke.cli import build_parser
+
+    assert build_parser() is build_parser()
+    query = ["tau-char", "--shape", "2,1", "--word", "1,2"]
+    _, explicit = run_cli(query + ["--convention", "oracle"])
+    _, paper = run_cli(query + ["--convention", "paper"])
+    _, default = run_cli(query)
+    assert json.loads(paper)["convention"] == "paper"
+    assert default == explicit
+    assert json.loads(default)["convention"] == "oracle"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,3 +213,19 @@ def test_bruhat_order():
     # reflexive and antisymmetric on S_4
     for u in all_permutations(4):
         assert bruhat_leq(u, u)
+
+
+def test_reduce_to_composition_paths_pinned(goldens):
+    # the steps every recursion and `tau-char` walk, recorded for a seeded
+    # sample of S_7 spanning all lengths
+    doc = json.loads((goldens / "paths_n7.json").read_text())
+    assert len(doc["cases"]) >= 60
+    for case in doc["cases"]:
+        w = Permutation(case["w"])
+        sigma, path = reduce_to_composition(w)
+        assert list(sigma) == case["kappa"]
+        steps = [["DROP2" if isinstance(st, Drop2Step) else "FLAT", st.s,
+                  list(st.source.one_line), list(st.target.one_line),
+                  None if isinstance(st, Drop2Step) else list(st.witness.one_line)]
+                 for st in path]
+        assert steps == case["steps"], case["w"]
