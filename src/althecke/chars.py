@@ -33,11 +33,11 @@ matrix traces of :mod:`althecke.specht` only check these routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import comb
+from typing import NamedTuple
 
 from .combinat import (
     NotSymmetricError,
@@ -90,8 +90,7 @@ NEXT_OPP = "NEXT-OPP"
 # The factor-by-factor tableau formula
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(NamedTuple):
     """Local factors of one transposable tableau along the increasing word."""
 
     tableau: object
@@ -241,12 +240,10 @@ def twisted_char_closed(lam, kappa, convention: str = "oracle") -> TowerElem:
 # Twisted characters at arbitrary permutations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _twisted_value(lam: tuple, w: Permutation) -> TowerElem:
+def _fold_path(lam: tuple, kappa: tuple, path) -> TowerElem:
     # Fold the conjugation path from its end: the closed form at w_kappa,
     # then each step back to its source negates the value, and a flat step
     # also adds (q - q^-1) times the value at its shorter witness.
-    kappa, path = reduce_to_composition(w)
     value = twisted_char_closed(lam, kappa, "oracle")
     for step in reversed(path):
         value = -value
@@ -255,17 +252,24 @@ def _twisted_value(lam: tuple, w: Permutation) -> TowerElem:
     return value
 
 
-def twisted_char(lam, w: Permutation):
+@lru_cache(maxsize=None)
+def _twisted_value(lam: tuple, w: Permutation) -> TowerElem:
+    return _fold_path(lam, *reduce_to_composition(w))
+
+
+def twisted_char(lam, w: Permutation, reduction=None):
     """Twisted character at any permutation, with its extracted coefficient.
 
     Returns (value, a) where value = (sigma*sqrt(-1))^m * a * q^(-m) * prod(y_h)
     for m = (n - d)/2; the coefficient a lies in Z[q - q^-1] with q-degree
     at most length(w) minus the minimal length of the hook cycle type.
+    A caller that already holds ``reduction = reduce_to_composition(w)``
+    passes it, and the path is folded without being searched again.
     """
     lam = tuple(lam)
     if conjugate(lam) != lam:
         raise NotSymmetricError(f"{lam} is not self-conjugate")
-    value = _twisted_value(lam, w)
+    value = _twisted_value(lam, w) if reduction is None else _fold_path(lam, *reduction)
     return value, _extract_a_poly(lam, value)
 
 
@@ -354,8 +358,7 @@ def delta_coefficients(r: RatFunc):
 # Class polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassPolyTable:
+class ClassPolyTable(NamedTuple):
     """Coefficients expressing a character value at ``subject`` through the
     values at minimal-length class representatives."""
 
@@ -584,8 +587,7 @@ def split_char_values(lam, w: Permutation, basis: str = "A"):
 # Character tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     kind: str  # "pair" | "plus" | "minus"
     shape: tuple
     cells: tuple  # TowerElem per column
@@ -596,8 +598,7 @@ class TableRow:
         return f"[{base}]{mark}"
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(NamedTuple):
     n: int
     sigma: int
     columns: tuple  # (ConjClass, representative) pairs
@@ -767,8 +768,7 @@ def cute_identity(m: int):
 # Per-class reduction of the tableau sum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivClassReport:
+class EquivClassReport(NamedTuple):
     lam: tuple
     kappa: tuple
     z: int

@@ -203,12 +203,12 @@ def cmd_tau_char(args) -> int:
         raise SystemExit(f"error: shape {lam} is not self-conjugate")
     word = parse_word(args.word) if args.word else ()
     w = from_word(word, n)
-    value, a_poly = twisted_char(lam, w)
+    reduction = reduce_to_composition(w)
+    value, a_poly = twisted_char(lam, w, reduction)
     h, d = diagonal_hooks(lam)
     if args.convention == "paper" and ((n - d) // 2) % 2:
         # the literal published constant differs globally by (-1)^((n-d)/2)
         value = -value
-    _, path = reduce_to_composition(w)
     steps = [
         {
             "kind": "DROP2" if isinstance(st, Drop2Step) else "FLAT",
@@ -216,7 +216,7 @@ def cmd_tau_char(args) -> int:
             "from": list(st.source.one_line),
             "to": list(st.target.one_line),
         }
-        for st in path
+        for st in reduction[1]
     ]
     doc = {
         "command": "tau-char",

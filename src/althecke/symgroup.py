@@ -6,13 +6,17 @@ convention ``from_word([i1, ..., ik])`` is the product s_{i1} ... s_{ik}
 read left to right, and appending a generator on the right of a word
 multiplies the permutation by s_i on the right.  Generator indices are
 1-based throughout, matching s_i = (i, i+1).
+
+The generator actions carry the Coxeter length: multiplying by s_i on
+either side changes it by one, down exactly at a descent, so a permutation
+built from one whose length is known never counts its inversions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .combinat import partitions_of
 
@@ -46,11 +50,16 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
     @staticmethod
-    def _raw(ol: tuple) -> "Permutation":
+    def _raw(ol: tuple, length: int | None = None) -> "Permutation":
         p = Permutation.__new__(Permutation)
         object.__setattr__(p, "one_line", ol)
-        object.__setattr__(p, "_len", None)
+        object.__setattr__(p, "_len", length)
         return p
+
+    def _moved(self, ol: tuple, change: int) -> "Permutation":
+        """The permutation ol, whose length is self's plus change."""
+        ln = self._len
+        return Permutation._raw(ol, None if ln is None else ln + change)
 
     # -- basics -----------------------------------------------------------
     @property
@@ -73,7 +82,7 @@ class Permutation:
         inv = [0] * len(ol)
         for i, v in enumerate(ol):
             inv[v - 1] = i + 1
-        return Permutation._raw(tuple(inv))
+        return Permutation._raw(tuple(inv), self._len)
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.one_line))
@@ -106,19 +115,26 @@ class Permutation:
 
     # -- generator actions ----------------------------------------------------
     def right_mult_s(self, i: int) -> "Permutation":
-        """self * s_i: swaps the entries in positions i, i+1."""
+        """self * s_i: swaps the entries in positions i, i+1; one shorter
+        iff self(i) > self(i+1)."""
         ol = list(self.one_line)
-        ol[i - 1], ol[i] = ol[i], ol[i - 1]
-        return Permutation._raw(tuple(ol))
+        x, y = ol[i - 1], ol[i]
+        ol[i - 1], ol[i] = y, x
+        return self._moved(tuple(ol), -1 if x > y else 1)
 
     def left_mult_s(self, i: int) -> "Permutation":
-        """s_i * self: swaps the values i, i+1."""
+        """s_i * self: swaps the values i, i+1; one shorter iff i+1 comes
+        before i in one-line notation."""
         ol = list(self.one_line)
         a, b = ol.index(i), ol.index(i + 1)
-        ol[a], ol[b] = ol[b], ol[a]
-        return Permutation._raw(tuple(ol))
+        ol[a], ol[b] = i + 1, i
+        return self._moved(tuple(ol), -1 if a > b else 1)
 
     def conj_s(self, i: int) -> "Permutation":
+        """s_i * self * s_i.  Both products carry the length, so it drops by
+        two at a left and a right descent, stays with exactly one of them
+        and rises by two with neither; when self maps {i, i+1} onto itself
+        the two changes cancel and the result equals self."""
         return self.left_mult_s(i).right_mult_s(i)
 
     def has_right_descent(self, i: int) -> bool:
@@ -169,7 +185,7 @@ class Permutation:
 
 
 def identity(n: int) -> Permutation:
-    return Permutation._raw(tuple(range(1, n + 1)))
+    return Permutation._raw(tuple(range(1, n + 1)), 0)
 
 
 def from_word(word, n: int) -> Permutation:
@@ -197,7 +213,7 @@ def w_of_composition(kappa, n: int | None = None) -> Permutation:
         ol.extend(range(start + 1, start + k))
         ol.append(start)
         start += k
-    return Permutation._raw(tuple(ol))
+    return Permutation._raw(tuple(ol), n - len(kappa))
 
 
 def composition_of(w: Permutation):
@@ -246,16 +262,20 @@ def is_split_type(kappa) -> bool:
             and len(set(parts)) == len(parts))
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class _ConjClassFields(NamedTuple):
     cycle_type: tuple
     alt_sign: str = "whole"  # whole | plus | minus
 
-    def __post_init__(self):
-        if self.alt_sign not in ("whole", "plus", "minus"):
-            raise ValueError(f"bad alt_sign {self.alt_sign!r}")
-        if self.alt_sign != "whole" and not is_split_type(self.cycle_type):
-            raise ValueError(f"class {self.cycle_type} does not split")
+
+class ConjClass(_ConjClassFields):
+    __slots__ = ()
+
+    def __new__(cls, cycle_type, alt_sign="whole"):
+        if alt_sign not in ("whole", "plus", "minus"):
+            raise ValueError(f"bad alt_sign {alt_sign!r}")
+        if alt_sign != "whole" and not is_split_type(cycle_type):
+            raise ValueError(f"class {cycle_type} does not split")
+        return super().__new__(cls, cycle_type, alt_sign)
 
     def label(self) -> str:
         base = ",".join(str(k) for k in self.cycle_type)
@@ -331,15 +351,13 @@ def an_class_of(w: Permutation) -> ConjClass:
 # Conjugation-rewriting toward composition form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Drop2Step:
+class Drop2Step(NamedTuple):
     s: int
     source: Permutation
     target: Permutation  # s * source * s, two shorter
 
 
-@dataclass(frozen=True)
-class FlatStep:
+class FlatStep(NamedTuple):
     s: int
     source: Permutation
     target: Permutation  # s * source * s, same length

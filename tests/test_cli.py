@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +174,40 @@ def test_shared_parser_keeps_no_state_between_calls():
     assert json.loads(paper)["convention"] == "paper"
     assert default == explicit
     assert json.loads(default)["convention"] == "oracle"
+
+
+def test_tau_char_reduces_the_query_once(monkeypatch, goldens):
+    import althecke.chars
+    from althecke.symgroup import from_word, reduce_to_composition
+
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return reduce_to_composition(w)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("althecke") and \
+                getattr(mod, "reduce_to_composition", None) is reduce_to_composition:
+            monkeypatch.setattr(mod, "reduce_to_composition", counted)
+    althecke.chars._twisted_value.cache_clear()  # a cached value would hide a second walk
+    word = [8, 5, 1, 2, 3, 4, 6, 7]
+    code, out = run_cli(["tau-char", "--shape", "3,3,3",
+                         "--word", ",".join(map(str, word))])
+    assert code == 0
+    assert calls.count(from_word(word, 9)) == 1
+    assert out.encode("utf-8") == (goldens / "tau_char_n9_first.json").read_bytes()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost set-up time on every start; a fresh interpreter shows them
+    import althecke
+
+    src = str(Path(althecke.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import althecke.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -229,3 +229,22 @@ def test_reduce_to_composition_paths_pinned(goldens):
                   None if isinstance(st, Drop2Step) else list(st.witness.one_line)]
                  for st in path]
         assert steps == case["steps"], case["w"]
+
+
+def test_generator_actions_carry_length():
+    # every generator action on S_n, n <= 6, from a source whose length is
+    # cached (sorting all_permutations counts it) and from a fresh one; the
+    # canonical class representatives are built with their length
+    for n in range(2, 7):
+        for kappa in compositions_of(n):
+            w = w_of_composition(kappa)
+            assert w.length() == Permutation(w.one_line).length()
+        for w in all_permutations(n):
+            fresh = Permutation(w.one_line)
+            for src in (fresh, w):
+                for i in range(1, n):
+                    for v in (src.conj_s(i), src.left_mult_s(i), src.right_mult_s(i)):
+                        assert v.length() == Permutation(v.one_line).length()
+                    assert src.conj_s(i) == src.left_mult_s(i).right_mult_s(i)
+                assert src.inverse().length() == w.length()
+            assert from_word(w.reduced_word(), n).length() == w.length()
