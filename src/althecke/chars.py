@@ -287,45 +287,6 @@ def _extract_a_poly(lam, value: TowerElem) -> RatFunc:
     return value.terms[key] * RatFunc.q_power(m) * RatFunc(unit.inverse())
 
 
-def dominates(mu, lam) -> bool:
-    """Dominance order on partitions of the same size."""
-    mu, lam = tuple(mu), tuple(lam)
-    total_mu = total_lam = 0
-    for i in range(max(len(mu), len(lam))):
-        total_mu += mu[i] if i < len(mu) else 0
-        total_lam += lam[i] if i < len(lam) else 0
-        if total_mu < total_lam:
-            return False
-    return True
-
-
-def dominance_report(lam, n: int | None = None):
-    """Observed support of the extracted coefficient polynomials.
-
-    Reported only: for each even permutation records whether the twisted
-    coefficient is nonzero and whether its cycle type dominates the shape.
-    The suspected implication (nonzero only under dominance) is never
-    assumed anywhere in the package.
-    """
-    from .symgroup import all_permutations
-
-    lam = tuple(lam)
-    if n is None:
-        n = sum(lam)
-    observations = []
-    for w in all_permutations(n):
-        if not w.is_even():
-            continue
-        _, a_poly = twisted_char(lam, w)
-        observations.append({
-            "cycle_type": w.cycle_type(),
-            "length": w.length(),
-            "nonzero": bool(a_poly),
-            "dominates": dominates(w.cycle_type(), lam),
-        })
-    return observations
-
-
 def delta_coefficients(r: RatFunc):
     """Integer coefficients of r in powers of (q - q^-1), or None.
 

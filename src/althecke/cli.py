@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import tempfile
 from functools import lru_cache
@@ -29,46 +28,37 @@ from .scalars import (
     R_HALF,
     canonical_json,
     pretty_tower,
-    q_minus_qinv,
     ratfunc_to_obj,
     tower_from_obj,
     tower_to_obj,
 )
 from .combinat import (
-    compositions_of,
     conjugate,
     diagonal_hooks,
     is_self_conjugate,
     parse_partition,
-    partitions_of,
-    self_conjugate_partitions,
+    parse_word,
 )
 from .symgroup import (
     Drop2Step,
     all_permutations,
     alt_classes,
     from_word,
-    parse_word,
     reduce_to_composition,
-    w_of_composition,
 )
 from .hecke import a_elem, b_elem, hecke_to_obj
-from .specht import build_rep, char_T, twisted_trace
 from .chars import (
     alt_class_polys,
     char_table,
     char_via_class_polys,
     class_polys,
-    cute_identity,
-    greene_identity,
     resolve_sigma,
     split_char_values,
     table_csv,
     table_rows,
     twisted_char,
-    twisted_char_by_tableaux,
-    twisted_char_closed,
 )
+from .verify import SUITES
 
 
 def _guard_n(n: int, force: bool):
@@ -168,7 +158,7 @@ def cmd_char(args) -> int:
     lam = parse_partition(args.shape)
     n = sum(lam)
     _guard_n(n, args.force)
-    word = parse_word(args.word) if args.word else ()
+    word = parse_word(args.word)
     w = from_word(word, n)
     value = char_via_class_polys(lam, w)
     doc = {
@@ -201,7 +191,7 @@ def cmd_tau_char(args) -> int:
     _guard_n(n, args.force)
     if not is_self_conjugate(lam):
         raise SystemExit(f"error: shape {lam} is not self-conjugate")
-    word = parse_word(args.word) if args.word else ()
+    word = parse_word(args.word)
     w = from_word(word, n)
     reduction = reduce_to_composition(w)
     value, a_poly = twisted_char(lam, w, reduction)
@@ -241,7 +231,7 @@ def cmd_tau_char(args) -> int:
 def cmd_classpoly(args) -> int:
     n = args.n
     _guard_n(n, args.force)
-    word = parse_word(args.word) if args.word else ()
+    word = parse_word(args.word)
     w = from_word(word, n)
     f_table = class_polys(w)
     doc = {
@@ -284,133 +274,21 @@ def cmd_basis(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_greene(args):
-    rng = random.Random(args.seed)
-    bad = 0
-    for _ in range(args.cases):
-        m = rng.randint(0, 5)
-        rels = tuple(rng.choice((1, -1, 0)) for _ in range(m))
-        contents = rng.sample(range(-8, 9), m + 1)
-        lhs, rhs = greene_identity(rels, contents)
-        if lhs != rhs:
-            bad += 1
-    return args.cases, bad
-
-
-def _suite_cute(args):
-    bad = 0
-    total = 0
-    for m in range(6):
-        total += 1
-        lhs, rhs = cute_identity(m)
-        if lhs != rhs:
-            bad += 1
-    return total, bad
-
-
-def _suite_oracle(args):
-    total = bad = 0
-    for n in range(2, args.n + 1):
-        for lam in self_conjugate_partitions(n):
-            for kappa in compositions_of(n):
-                total += 1
-                w = w_of_composition(kappa)
-                oracle = twisted_trace(lam, w)
-                if not (twisted_char_closed(lam, kappa) == oracle
-                        and twisted_char_by_tableaux(lam, kappa) == oracle):
-                    bad += 1
-    return total, bad
-
-
-def _suite_relations(args):
-    from .specht import mat_add, mat_equal, mat_identity, mat_mul, mat_scale, word_matrix
-
-    total = bad = 0
-    delta = q_minus_qinv()
-    for n in range(2, args.n + 1):
-        for lam in partitions_of(n):
-            rep = build_rep(lam)
-            ident = mat_identity(rep.dim)
-            for i in range(1, n):
-                total += 1
-                gi = rep.generator_matrix(i)
-                if not mat_equal(mat_mul(gi, gi), mat_add(ident, mat_scale(gi, delta))):
-                    bad += 1
-            for i in range(1, n - 1):
-                total += 1
-                if not mat_equal(word_matrix(rep, (i, i + 1, i)),
-                                 word_matrix(rep, (i + 1, i, i + 1))):
-                    bad += 1
-    return total, bad
-
-
-def _suite_classpoly(args):
-    total = bad = 0
-    n = min(args.n, 4)
-    for w in all_permutations(n):
-        for lam in partitions_of(n):
-            total += 1
-            if char_via_class_polys(lam, w) != char_T(lam, w):
-                bad += 1
-    return total, bad
-
-
-def _suite_recursion(args):
-    total = bad = 0
-    n = min(args.n, 5)
-    for w in all_permutations(n):
-        if not w.is_even():
-            continue
-        for lam in self_conjugate_partitions(n):
-            total += 1
-            value, _ = twisted_char(lam, w)
-            if value != twisted_trace(lam, w):
-                bad += 1
-    return total, bad
-
-
-def _suite_dominance(args):
-    """Report-only: counts nonzero twisted coefficients outside the
-    dominance cone; the suspected implication is observed, never assumed."""
-    from .chars import dominance_report
-
-    total = 0
-    outside = 0
-    for n in range(3, min(args.n, 5) + 1):
-        for lam in self_conjugate_partitions(n):
-            for obs in dominance_report(lam, n):
-                total += 1
-                if obs["nonzero"] and not obs["dominates"]:
-                    outside += 1
-    sys.stderr.write(f"dominance: {total} observations, "
-                     f"{outside} nonzero outside the cone\n")
-    return total, 0
-
-
-SUITES = {
-    "greene": _suite_greene,
-    "cute": _suite_cute,
-    "oracle": _suite_oracle,
-    "relations": _suite_relations,
-    "classpoly": _suite_classpoly,
-    "recursion": _suite_recursion,
-    "dominance": _suite_dominance,
-}
-
-
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     _guard_n(args.n, args.force)
-    failed = False
     results = []
     for name in names:
-        total, bad = SUITES[name](args)
+        total = bad = 0
+        for _, ok in SUITES[name](args.n, args.cases, args.seed):
+            total += 1
+            bad += not ok
+        if name == "dominance":  # report only
+            sys.stderr.write(f"dominance: {total} observations, "
+                             f"{bad} nonzero outside the cone\n")
+            bad = 0
         results.append({"suite": name, "checks": total, "failures": bad})
-        failed = failed or bad > 0
+    failed = any(r["failures"] for r in results)
     doc = {"command": "verify", "n": args.n, "seed": args.seed,
            "convention": args.convention, "results": results,
            "passed": not failed}
@@ -421,6 +299,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.add_argument("-n", type=int, default=4)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_nonnegative, default=200)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_verify)
 

@@ -356,8 +356,19 @@ def eps_kappa(kappa) -> int:
     return -1 if inv % 2 else 1
 
 
-def parse_partition(text: str) -> tuple:
+def parse_word(text: str) -> tuple:
+    """The integers of a comma-separated list; blank text is empty."""
     text = text.strip()
     if not text:
         return ()
     return tuple(int(t) for t in text.split(","))
+
+
+def parse_partition(text: str) -> tuple:
+    """A comma-separated partition; ValueError unless every part is
+    positive and no part exceeds the one before it."""
+    lam = parse_word(text)
+    if any(p <= 0 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"shape {text!r} is not a partition: parts must be "
+                         f"positive and weakly decreasing")
+    return lam

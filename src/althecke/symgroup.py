@@ -470,10 +470,3 @@ def all_permutations(n: int) -> tuple:
     perms = [Permutation._raw(p) for p in itertools.permutations(range(1, n + 1))]
     perms.sort(key=lambda w: (w.length(), w.one_line))
     return tuple(perms)
-
-
-def parse_word(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.split(","))

@@ -8,34 +8,27 @@ classical-limit criterion, which uses double precision at 1e-9.
 import io
 import json
 import math
-import random
 import sys
 from contextlib import redirect_stdout
 
-import pytest
-
+from althecke import verify
 from althecke.chars import (
     alt_class_polys,
     char_table,
-    char_via_class_polys,
     class_polys,
-    cute_identity,
     delta_coefficients,
     equiv_class_check,
-    greene_identity,
-    resolve_sigma,
     split_char_values,
     twisted_char,
-    twisted_char_by_tableaux,
-    twisted_char_closed,
 )
 from althecke.combinat import (
+    compositions_of,
     diagonal_hooks,
     partitions_of,
     self_conjugate_partitions,
     transposable_tableaux,
 )
-from althecke.hecke import HeckeElem, a_elem, b_elem, bar_inv, e_elem, eps_inv, hash_inv, is_alternating
+from althecke.hecke import HeckeElem, b_elem, bar_inv, e_elem, eps_inv, hash_inv, is_alternating
 from althecke.scalars import (
     GaussianRational,
     R_HALF,
@@ -46,29 +39,16 @@ from althecke.scalars import (
     specialize_numeric,
     tower_from_obj,
 )
-from althecke.specht import (
-    build_rep,
-    char_T,
-    mat_add,
-    mat_equal,
-    mat_identity,
-    mat_mul,
-    mat_scale,
-    twisted_trace,
-    word_matrix,
-)
+from althecke.specht import build_rep, char_T, mat_equal, twisted_trace, word_matrix
 from althecke.symgroup import (
     all_permutations,
     alt_classes,
     bruhat_leq,
     from_word,
     identity,
-    is_min_length,
     split_class_reps,
     w_of_composition,
 )
-
-from conftest import compositions_of
 
 
 def _report(num, text):
@@ -76,15 +56,10 @@ def _report(num, text):
 
 
 def test_criterion_01_main_theorem_oracle_equivalence():
-    checked = 0
-    for n in range(2, 8):
-        for lam in self_conjugate_partitions(n):
-            for kappa in compositions_of(n):
-                oracle = twisted_trace(lam, w_of_composition(kappa))
-                assert twisted_char_closed(lam, kappa, "oracle") == oracle, (lam, kappa)
-                assert twisted_char_by_tableaux(lam, kappa) == oracle, (lam, kappa)
-                checked += 1
-    _report(1, f"closed form == tableau sum == matrix oracle on {checked} "
+    checks = [check for n in range(2, 8) for check in verify.oracle_cases(n)]
+    failures = [case for case, ok in checks if not ok]
+    assert not failures
+    _report(1, f"closed form == tableau sum == matrix oracle on {len(checks)} "
                f"(shape, composition) pairs, n = 2..7, exact")
 
 
@@ -165,15 +140,9 @@ def test_criterion_03_golden_degree_nine_examples(goldens):
 
 
 def test_criterion_04_recursion_soundness_and_kappa_minus():
-    checked = 0
-    for n in range(2, 6):
-        for lam in self_conjugate_partitions(n):
-            for w in all_permutations(n):
-                if not w.is_even():
-                    continue
-                value, _ = twisted_char(lam, w)
-                assert value == twisted_trace(lam, w), (lam, w.one_line)
-                checked += 1
+    checks = [check for n in range(2, 6) for check in verify.recursion_cases(n)]
+    failures = [case for case, ok in checks if not ok]
+    assert not failures
     flips = 0
     for n in range(3, 8):
         for lam in self_conjugate_partitions(n):
@@ -189,26 +158,23 @@ def test_criterion_04_recursion_soundness_and_kappa_minus():
                 assert vminus == twisted_trace(lam, wminus)
                 flips += 1
     _report(4, f"length recursion equals the oracle on every even element "
-               f"(n <= 5, {checked} values) and negates across all {flips} "
+               f"(n <= 5, {len(checks)} values) and negates across all {flips} "
                f"split-class representative pairs, n <= 7")
 
 
 def test_criterion_05_class_polynomials():
-    checked = 0
     for n in range(2, 6):
-        perms = all_permutations(n)
-        shapes = partitions_of(n)
-        for w in perms:
+        for w in all_permutations(n):
             table = class_polys(w).as_dict()
             for ctype, poly in table.items():
                 w_c = w_of_composition(ctype)
                 assert w_c.length() <= w.length()
                 coeffs = delta_coefficients(poly)
-                assert coeffs is not None, (w.one_line, ctype)
-                assert not coeffs or max(coeffs) <= w.length() - w_c.length()
-            for lam in shapes:
-                assert char_via_class_polys(lam, w) == char_T(lam, w)
-                checked += 1
+                assert coeffs, (w.one_line, ctype)  # in Z[q - q^-1] and nonzero
+                assert max(coeffs) <= w.length() - w_c.length()
+    checks = [check for n in range(2, 6) for check in verify.classpoly_cases(n)]
+    failures = [case for case, ok in checks if not ok]
+    assert not failures
     from althecke.combinat import conjugate
 
     def alt_value(lam, x):
@@ -228,7 +194,7 @@ def test_criterion_05_class_polynomials():
                 assert alt_value(lam, w) == rhs, (w.one_line, lam)
                 alt_checked += 1
     _report(5, f"class polynomials reconstruct every character value "
-               f"({checked} plain, {alt_checked} alternating) with the "
+               f"({len(checks)} plain, {alt_checked} alternating) with the "
                f"degree bounds, n <= 5, exact")
 
 
@@ -265,17 +231,11 @@ def test_criterion_06_basis_suite():
 
 
 def test_criterion_07_representation_suite():
-    delta = q_minus_qinv()
+    failures = [case for n in range(2, 7) for case, ok in verify.relation_cases(n) if not ok]
+    assert not failures
     for n in range(2, 7):
         for lam in partitions_of(n):
             rep = build_rep(lam)
-            ident = mat_identity(rep.dim)
-            for i in range(1, n):
-                gi = rep.generator_matrix(i)
-                assert mat_equal(mat_mul(gi, gi), mat_add(ident, mat_scale(gi, delta)))
-            for i in range(1, n - 1):
-                assert mat_equal(word_matrix(rep, (i, i + 1, i)),
-                                 word_matrix(rep, (i + 1, i, i + 1)))
             for i in range(1, n):
                 for j in range(i + 2, n):
                     assert mat_equal(word_matrix(rep, (i, j)),
@@ -313,16 +273,9 @@ def test_criterion_07_representation_suite():
 
 
 def test_criterion_08_identity_suites():
-    rng = random.Random(7)
-    for _ in range(200):
-        m = rng.randint(0, 5)
-        rels = tuple(rng.choice((1, -1, 0)) for _ in range(m))
-        contents = rng.sample(range(-8, 9), m + 1)
-        lhs, rhs = greene_identity(rels, contents)
-        assert lhs == rhs, (rels, contents)
-    for m in range(6):
-        lhs, rhs = cute_identity(m)
-        assert lhs == rhs
+    failures = [case for case, ok in verify.greene_cases(200, 7) if not ok]
+    failures += [case for case, ok in verify.cute_cases(5) if not ok]
+    assert not failures
     reduced = 0
     for n in range(2, 8):
         for lam in self_conjugate_partitions(n):

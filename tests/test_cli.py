@@ -95,13 +95,39 @@ def test_basis_command():
     assert len(doc["rows"]) == 6
 
 
-def test_verify_suites_pass():
-    code, out = run_cli(["verify", "--suite", "cute"])
+def test_verify_suites_pass(goldens):
+    code, out = run_cli(["verify", "--suite", "all", "--cases", "25"])
     assert code == 0
-    code, out = run_cli(["verify", "--suite", "greene", "--cases", "25", "--seed", "7"])
-    assert code == 0
+    assert out == (goldens / "verify_all_n4_cases25.json").read_text()
+
+
+def test_verify_reports_a_broken_route(monkeypatch):
+    import althecke.verify
+    from althecke.scalars import TowerElem
+
+    monkeypatch.setattr(althecke.verify, "twisted_char_closed",
+                        lambda lam, kappa: TowerElem.zero())
+    code, out = run_cli(["verify", "--suite", "oracle"])
+    assert code == 1
     doc = json.loads(out)
-    assert doc["passed"] is True
+    assert doc["results"][0]["failures"] > 0
+    assert doc["passed"] is False
+
+
+def test_verify_rejects_negative_cases(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "--suite", "greene", "--cases", "-3"])
+    assert err.value.code == 2
+    assert "--cases" in capsys.readouterr().err
+
+
+def test_char_rejects_a_shape_that_is_not_a_partition(capsys):
+    for shape in ("2,3", "0", "3,0,0"):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["char", "--shape", shape, "--word", "1"])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("error: shape ") and lines[1].startswith("usage: ")
 
 
 def test_resource_guard():

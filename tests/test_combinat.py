@@ -206,3 +206,6 @@ def test_eps_kappa():
 def test_parse_partition():
     assert parse_partition("3,3,3") == (3, 3, 3)
     assert parse_partition("") == ()
+    for text in ("2,3", "0", "3,0,0", "2,-1", "1,2,1"):
+        with pytest.raises(ValueError):
+            parse_partition(text)

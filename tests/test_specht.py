@@ -24,7 +24,6 @@ from althecke.specht import (
     mat_add,
     mat_equal,
     mat_identity,
-    mat_mul,
     mat_scale,
     twist_check,
     twisted_trace,
@@ -69,23 +68,6 @@ def test_word_matrix_basics():
     assert mat_equal(sq, expect)
     tr = char_T((2, 1), from_word([1, 2], 3))
     assert tr == TowerElem.from_scalar(RatFunc(-1))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_matrix_relations(n):
-    delta = q_minus_qinv()
-    for lam in partitions_of(n):
-        rep = build_rep(lam)
-        ident = mat_identity(rep.dim)
-        for i in range(1, n):
-            gi = rep.generator_matrix(i)
-            assert mat_equal(mat_mul(gi, gi), mat_add(ident, mat_scale(gi, delta)))
-        for i in range(1, n - 1):
-            assert mat_equal(word_matrix(rep, (i, i + 1, i)),
-                             word_matrix(rep, (i + 1, i, i + 1)))
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                assert mat_equal(word_matrix(rep, (i, j)), word_matrix(rep, (j, i)))
 
 
 def test_seminormal_coefficient_identities():
