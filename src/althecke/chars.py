@@ -457,44 +457,47 @@ def _class_key(cc: ConjClass):
 
 
 @lru_cache(maxsize=None)
+def _min_rep_vector(ctype: tuple) -> tuple:
+    """Alternating class polynomials of T at the odd minimal representative
+    ``w_of_composition(ctype)``: ((class key, RatFunc), ...).
+
+    T is rewritten through the parity-triangular basis, whose odd terms pair
+    to zero against restricted characters; each even B_y drops back to the
+    averaged basis, and every A_x is settled by the class polynomials of x.
+    Every such x is even, so strictly shorter than the odd representative.
+    """
+    acc = {}
+    for y, s_coeff in t_in_b(w_of_composition(ctype)):
+        if not y.is_even():
+            continue
+        for x, r_coeff in b_in_a(y):
+            if not x.is_even():
+                raise AssertionError("even basis element left the even span")
+            c = s_coeff * r_coeff
+            for key, g in _g_vector(x):
+                acc[key] = acc.get(key, R_ZERO) + c * g
+    return tuple(sorted((k, v) for k, v in acc.items() if v))
+
+
+@lru_cache(maxsize=None)
 def _g_vector(w: Permutation) -> tuple:
     """Alternating class polynomials: ((class key, RatFunc), ...).
 
-    Follows the triangular route: expand through the cycle-type class
-    polynomials, rewrite odd minimal representatives through the
-    parity-triangular basis (odd terms of which pair to zero against
-    restricted characters), drop back to the averaged basis, and recurse on
-    shorter even permutations.
+    Expands w through its cycle-type class polynomials f_w.  An even
+    minimal representative is its own class; an odd one contributes the
+    vector :func:`_min_rep_vector` computes once per cycle type.
     """
     if not w.is_even():
         raise NotAlternatingError(f"{w!r} is odd")
     if is_min_length(w):
         return ((_class_key(an_class_of(w)), R_ONE),)
     acc = {}
-
-    def add(key, c):
-        acc[key] = acc.get(key, R_ZERO) + c
-
-    def settle(x: Permutation, c: RatFunc):
-        if is_min_length(x):
-            add(_class_key(an_class_of(x)), c)
-        else:
-            for key, g in _g_vector(x):
-                add(key, c * g)
-
     for ctype, f in _f_vector(w):
         w_c = w_of_composition(ctype)
-        if w_c.is_even():
-            add(_class_key(an_class_of(w_c)), f)
-            continue
-        for y, s_coeff in t_in_b(w_c):
-            if not y.is_even():
-                continue
-            for x, r_coeff in b_in_a(y):
-                if not x.is_even():
-                    raise AssertionError("even basis element left the even span")
-                settle(x, f * s_coeff * r_coeff)
-    return tuple(sorted(((k, v) for k, v in acc.items() if v)))
+        terms = _g_vector(w_c) if w_c.is_even() else _min_rep_vector(ctype)
+        for key, v in terms:
+            acc[key] = acc.get(key, R_ZERO) + f * v
+    return tuple(sorted((k, v) for k, v in acc.items() if v))
 
 
 def alt_class_polys(w: Permutation) -> ClassPolyTable:

@@ -190,7 +190,7 @@ def cmd_tau_char(args) -> int:
     n = sum(lam)
     _guard_n(n, args.force)
     if not is_self_conjugate(lam):
-        raise SystemExit(f"error: shape {lam} is not self-conjugate")
+        raise ValueError(f"shape {lam} is not self-conjugate")
     word = parse_word(args.word)
     w = from_word(word, n)
     reduction = reduce_to_composition(w)
@@ -275,6 +275,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"verify needs a degree n >= 2, got {args.n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     _guard_n(args.n, args.force)
     results = []

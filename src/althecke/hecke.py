@@ -38,6 +38,19 @@ class NotAlternatingError(ValueError):
     """An element fixed by the sign-twisted involution was required."""
 
 
+def _add_term(acc: dict, w: Permutation, v: RatFunc) -> None:
+    """acc[w] += v on a coefficient dict, dropping a term that cancels."""
+    cur = acc.get(w)
+    if cur is None:
+        acc[w] = v
+    else:
+        cur = cur + v
+        if cur:
+            acc[w] = cur
+        else:
+            del acc[w]
+
+
 class HeckeElem:
     """Sparse element of the Hecke algebra of S_n over RatFunc scalars."""
 
@@ -98,15 +111,7 @@ class HeckeElem:
         self._check(other)
         c = dict(self.coeffs)
         for w, v in other.coeffs.items():
-            cur = c.get(w)
-            if cur is None:
-                c[w] = v
-            else:
-                cur = cur + v
-                if cur:
-                    c[w] = cur
-                else:
-                    del c[w]
+            _add_term(c, w, v)
         return HeckeElem._raw(self.n, c)
 
     def __sub__(self, other):
@@ -129,29 +134,10 @@ class HeckeElem:
         delta = q_minus_qinv()
         c = {}
         for w, v in self.coeffs.items():
-            ws = w.right_mult_s(i)
+            _add_term(c, w.right_mult_s(i), v)
             if w.has_right_descent(i):
                 # T_w T_i = T_{ws} + (q - q^-1) T_w
-                for key, add in ((ws, v), (w, v * delta)):
-                    cur = c.get(key)
-                    if cur is None:
-                        c[key] = add
-                    else:
-                        cur = cur + add
-                        if cur:
-                            c[key] = cur
-                        else:
-                            del c[key]
-            else:
-                cur = c.get(ws)
-                if cur is None:
-                    c[ws] = v
-                else:
-                    cur = cur + v
-                    if cur:
-                        c[ws] = cur
-                    else:
-                        del c[ws]
+                _add_term(c, w, v * delta)
         return HeckeElem._raw(self.n, c)
 
     def __mul__(self, other):
@@ -275,16 +261,17 @@ def b_elem(w: Permutation) -> HeckeElem:
     same-parity terms, so a single pass over the support of A_w suffices.
     """
     ell = w.length()
+    a = a_elem(w)
     if ell <= 1:
-        return a_elem(w)
-    out = a_elem(w)
-    for y in out.support():
+        return a
+    out = dict(a.coeffs)
+    for y in a.support():
         if y == w or (y.length() - ell) % 2:
             continue
-        c = out.coeffs.get(y)
+        c = out.get(y)
         if c:
-            out = out - b_elem(y).scale(c)
-    return out
+            _subtract_scaled(out, b_elem(y), c)
+    return HeckeElem._raw(w.n, out)
 
 
 def b_basis(n: int) -> dict:
@@ -307,19 +294,27 @@ def e_elem(i: int, n: int) -> HeckeElem:
 # Basis transitions (peeling by descending length)
 # ---------------------------------------------------------------------------
 
+def _subtract_scaled(acc: dict, h: HeckeElem, c: RatFunc) -> None:
+    """acc -= c * h on a coefficient dict, in place."""
+    c = -c
+    for w, v in h.coeffs.items():
+        _add_term(acc, w, v * c)
+
+
 def expand_in_basis(h: HeckeElem, basis_fn) -> dict:
     """Coefficients of h in a unitriangular basis given by basis_fn(w).
 
-    Peels the longest remaining T-term; valid because every basis element
-    is T_w plus strictly Bruhat-lower (hence strictly shorter) terms.
+    Peels the longest remaining T-term off one working copy of h; valid
+    because every basis element is T_w plus strictly Bruhat-lower (hence
+    strictly shorter) terms.
     """
-    rest = h
+    rest = dict(h.coeffs)
     out = {}
-    while rest.coeffs:
-        w = max(rest.coeffs, key=lambda u: (u.length(), u.one_line))
-        c = rest.coeffs[w]
+    while rest:
+        w = max(rest, key=lambda u: (u.length(), u.one_line))
+        c = rest[w]
         out[w] = c
-        rest = rest - basis_fn(w).scale(c)
+        _subtract_scaled(rest, basis_fn(w), c)
     return out
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from althecke import chars
 from althecke.chars import (
     DIAG,
     NEXT_OPP,
@@ -184,6 +185,19 @@ def test_alt_class_polys_reconstruction():
                     rep = wm if sign == "minus" else wp
                     rhs = rhs + char_alt(lam, a_elem(rep)).scale(c)
                 assert lhs == rhs
+
+
+def test_min_rep_vector_once_per_odd_cycle_type():
+    chars._g_vector.cache_clear()
+    chars._min_rep_vector.cache_clear()
+    evens = [w for w in all_permutations(6) if w.is_even()]
+    for w in evens:
+        alt_class_polys(w)
+    odd_types = {ctype for w in evens for ctype, _ in chars._f_vector(w)
+                 if not w_of_composition(ctype).is_even()}
+    info = chars._min_rep_vector.cache_info()
+    assert odd_types and info.misses == len(odd_types)
+    assert info.hits > 0
 
 
 def test_twisted_char_examples():

@@ -87,6 +87,17 @@ def test_classpoly_command():
     assert "g" in doc and doc["g"]
 
 
+def test_classpoly_golden_n7_n8(goldens):
+    # even and odd words of length 2n..2n+2 at n = 7, 8, above the degrees
+    # the acceptance criteria reach
+    cases = json.loads((goldens / "classpoly_n7_n8.json").read_text(encoding="utf-8"))
+    assert {case["argv"][2] for case in cases} == {"7", "8"}
+    for case in cases:
+        code, out = run_cli(case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
+
+
 def test_basis_command():
     code, out = run_cli(["basis", "-n", "3", "--which", "B"])
     assert code == 0
@@ -128,6 +139,25 @@ def test_char_rejects_a_shape_that_is_not_a_partition(capsys):
         assert err.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("error: shape ") and lines[1].startswith("usage: ")
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_verify_rejects_a_degree_below_two(n, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "-n", n, "--suite", "classpoly"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"error: verify needs a degree n >= 2, got {n}"
+    assert lines[1].startswith("usage: ")
+
+
+def test_tau_char_rejects_a_shape_that_is_not_self_conjugate(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["tau-char", "--shape", "3", "--word", "1"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: shape (3,) is not self-conjugate"
+    assert lines[1].startswith("usage: ")
 
 
 def test_resource_guard():

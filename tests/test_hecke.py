@@ -2,8 +2,10 @@ import pytest
 
 from althecke.hecke import (
     HeckeElem,
+    _hash_of_t,
     a_elem,
     b_elem,
+    b_in_a,
     bar_inv,
     e_elem,
     eps_inv,
@@ -231,18 +233,37 @@ def test_even_module_decomposition():
             assert sym + e1 * rest == h
 
 
-def test_basis_transitions_invert():
-    for w in all_permutations(4):
-        acc = HeckeElem.zero(4)
+@pytest.mark.parametrize("n", [4, 5])
+def test_basis_transitions_invert(n):
+    for w in all_permutations(n):
+        acc = HeckeElem.zero(n)
         for y, c in t_in_b(w):
             acc = acc + b_elem(y).scale(c)
         assert acc == HeckeElem.t_basis(w)
         expansion = expand_in_a(b_elem(w))
-        acc = HeckeElem.zero(4)
+        acc = HeckeElem.zero(n)
         for x, c in expansion.items():
             acc = acc + a_elem(x).scale(c)
             assert x.is_even() == w.is_even()
         assert acc == b_elem(w)
+
+
+def test_peeling_leaves_cached_elements_alone():
+    # the transitions peel a working dict; the cached A and B elements they
+    # subtract must come out as they went in
+    perms = all_permutations(5)
+    for w in perms:
+        t_in_b(w)
+        b_in_a(w)
+    seen = {w: (dict(a_elem(w).coeffs), dict(b_elem(w).coeffs), t_in_b(w), b_in_a(w))
+            for w in perms}
+    for fn in (_hash_of_t, a_elem, b_elem, t_in_b, b_in_a):
+        fn.cache_clear()
+    # recomputed in dependency order, each copied before anything peels it
+    fresh_a = {w: dict(a_elem(w).coeffs) for w in perms}
+    fresh_b = {w: dict(b_elem(w).coeffs) for w in perms}
+    for w in perms:
+        assert seen[w] == (fresh_a[w], fresh_b[w], t_in_b(w), b_in_a(w))
 
 
 def test_hecke_serialization_roundtrip():
