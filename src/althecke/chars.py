@@ -18,17 +18,24 @@ sigma.  ``resolve_sigma`` pins sigma once by comparing the smallest
 self-conjugate case against the oracle; ``convention="paper"`` reproduces
 the literal constant instead.  Flipping sigma only swaps the labels of the
 two split characters, so both conventions give a correct character set.
+Every function returning a twisted or split value takes ``convention``,
+and ``_sign`` alone turns it into the sign.
 
 On top of these sit the length recursions: class polynomials expressing
 any character value through minimal-length class representatives, their
-alternating analogue, and twisted values at arbitrary permutations.
+alternating analogue, and the twisted class polynomials.  At the end of a
+conjugation path only the representative whose cycle type sorts to the hook
+type h of a shape has a nonzero twisted value, so the value at any w is the
+closed-form unit of the shape times a coefficient a_w(h) that does not
+depend on the shape.  One fold per permutation gives every a_w(h), for all
+self-conjugate shapes of the degree at once.
 
 Character tables and single character values never touch a matrix.  A
 plain value at a minimal-length representative comes from Ram's
 broken-border-strip rule (:func:`plain_char`), at any other permutation
-through the class polynomials; a twisted value comes from the closed form
-at ``w+`` and from the length recursion at ``w-`` and elsewhere.  The
-matrix traces of :mod:`althecke.specht` only check these routes.
+through the class polynomials; a twisted value is the closed-form unit
+scaled by its twisted class polynomial.  The matrix traces of
+:mod:`althecke.specht` only check these routes.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from .scalars import (
     R_ZERO,
     RatFunc,
     TowerElem,
+    _add_term,
     alpha_coeff,
     canonical_json,
     pretty_tower,
@@ -218,6 +226,11 @@ def resolve_sigma() -> int:
     raise AssertionError("oracle matches neither sign of the closed form")
 
 
+def _sign(convention: str) -> int:
+    """The global sign s of (s*sqrt(-1))^((n-d)/2) under a convention."""
+    return resolve_sigma() if convention == "oracle" else -1
+
+
 def twisted_char_closed(lam, kappa, convention: str = "oracle") -> TowerElem:
     """Closed form of the twisted character at a composition's permutation.
 
@@ -232,59 +245,60 @@ def twisted_char_closed(lam, kappa, convention: str = "oracle") -> TowerElem:
     kappa = tuple(kappa)
     if tuple(sorted(kappa, reverse=True)) != h:
         return TowerElem.zero()
-    sign = resolve_sigma() if convention == "oracle" else -1
-    return _closed_value(lam, kappa, sign)
+    return _closed_value(lam, kappa, _sign(convention))
 
 
 # ---------------------------------------------------------------------------
 # Twisted characters at arbitrary permutations
 # ---------------------------------------------------------------------------
 
-def _fold_path(lam: tuple, kappa: tuple, path) -> TowerElem:
-    # Fold the conjugation path from its end: the closed form at w_kappa,
-    # then each step back to its source negates the value, and a flat step
-    # also adds (q - q^-1) times the value at its shorter witness.
-    value = twisted_char_closed(lam, kappa, "oracle")
+def _fold_path(kappa: tuple, path) -> tuple:
+    # Fold the conjugation path from its end.  At w_kappa only the shapes
+    # whose hook type is sorted kappa survive, with coefficient eps(kappa);
+    # each step back to its source negates every coefficient, and a flat
+    # step also adds (q - q^-1) times the coefficients of its witness.
+    h = tuple(sorted(kappa, reverse=True))
+    acc = {}
+    if all(k % 2 for k in h) and len(set(h)) == len(h):
+        acc[h] = RatFunc(eps_kappa(kappa))
+    delta = q_minus_qinv()
     for step in reversed(path):
-        value = -value
+        acc = {k: -v for k, v in acc.items()}
         if isinstance(step, FlatStep):
-            value = value + _twisted_value(lam, step.witness).scale(q_minus_qinv())
-    return value
+            for k, v in _twisted_value(step.witness):
+                _add_term(acc, k, v * delta)
+    return tuple(sorted(acc.items()))
 
 
 @lru_cache(maxsize=None)
-def _twisted_value(lam: tuple, w: Permutation) -> TowerElem:
-    return _fold_path(lam, *reduce_to_composition(w))
+def _twisted_value(w: Permutation) -> tuple:
+    """Twisted class polynomials at w: ((hook type, a_w), ...), every hook
+    type a partition into distinct odd parts."""
+    return _fold_path(*reduce_to_composition(w))
 
 
-def twisted_char(lam, w: Permutation, reduction=None):
-    """Twisted character at any permutation, with its extracted coefficient.
+def twisted_char(lam, w: Permutation, reduction=None, convention: str = "oracle"):
+    """Twisted character at any permutation, with its coefficient.
 
-    Returns (value, a) where value = (sigma*sqrt(-1))^m * a * q^(-m) * prod(y_h)
-    for m = (n - d)/2; the coefficient a lies in Z[q - q^-1] with q-degree
-    at most length(w) minus the minimal length of the hook cycle type.
-    A caller that already holds ``reduction = reduce_to_composition(w)``
-    passes it, and the path is folded without being searched again.
+    Returns (value, a) with value = (s*sqrt(-1))^m * a * q^(-m) * prod(y_h)
+    for m = (n - d)/2, s the sign of ``convention`` as in
+    :func:`twisted_char_closed`, and a = a_w(h) the twisted class
+    polynomial of w at the hook type h of lam.  The class polynomials are
+    folded once per permutation and serve every shape of its degree; a
+    lies in Z[q - q^-1] with q-degree at most length(w) minus the minimal
+    length of the hook cycle type.  A caller that already holds
+    ``reduction = reduce_to_composition(w)`` passes it, and the path is
+    folded without being searched again.
     """
     lam = tuple(lam)
     if conjugate(lam) != lam:
         raise NotSymmetricError(f"{lam} is not self-conjugate")
-    value = _twisted_value(lam, w) if reduction is None else _fold_path(lam, *reduction)
-    return value, _extract_a_poly(lam, value)
-
-
-def _extract_a_poly(lam, value: TowerElem) -> RatFunc:
-    if value.is_zero():
-        return R_ZERO
-    h, d = diagonal_hooks(lam)
-    m = (sum(lam) - d) // 2
-    key = frozenset(k for k in h if k >= 2)
-    if set(value.terms) != {key}:
-        raise AssertionError("twisted value is not a multiple of the hook radical")
-    unit = _i_power(m)
-    if resolve_sigma() < 0 and m % 2:
-        unit = -unit
-    return value.terms[key] * RatFunc.q_power(m) * RatFunc(unit.inverse())
+    coeffs = _twisted_value(w) if reduction is None else _fold_path(*reduction)
+    h, _ = diagonal_hooks(lam)
+    a = dict(coeffs).get(h, R_ZERO)
+    if not a:
+        return TowerElem.zero(), a
+    return _closed_value(lam, h, _sign(convention)).scale(a), a
 
 
 def delta_coefficients(r: RatFunc):
@@ -504,32 +518,18 @@ def alt_class_polys(w: Permutation) -> ClassPolyTable:
     return ClassPolyTable(w, _g_vector(w))
 
 
-def twisted_char_of_elem(lam, h) -> TowerElem:
-    """Twisted character of a Hecke element via the length recursion."""
-    total = TowerElem.zero()
-    for y, c in h.coeffs.items():
-        value, _ = twisted_char(lam, y)
-        total = total + value.scale(c)
-    return total
-
-
-def char_of_elem_via_class_polys(lam, h) -> TowerElem:
-    """Plain character of a Hecke element via the class polynomials."""
-    total = TowerElem.zero()
-    for y, c in h.coeffs.items():
-        total = total + char_via_class_polys(lam, y).scale(c)
-    return total
-
-
-def split_char_values(lam, w: Permutation, basis: str = "A"):
+def split_char_values(lam, w: Permutation, basis: str = "A",
+                      convention: str = "oracle"):
     """The two split character values at a basis element indexed by an even
     permutation, computed through the recursions (not by matrix traces).
 
     ``basis`` selects the averaged basis ("A", whose value at w equals the
     half sum of the plain and twisted traces of T_w) or the
-    parity-triangular basis ("B").
+    parity-triangular basis ("B").  The twisted part takes the sign of
+    ``convention``, as :func:`twisted_char` does; under ``"paper"`` the two
+    values swap wherever (n - d)/2 is odd and the resolved sign is +1.
     """
-    from .hecke import HeckeElem, a_elem, b_elem
+    from .hecke import HeckeElem, b_elem
 
     lam = tuple(lam)
     if conjugate(lam) != lam:
@@ -542,8 +542,10 @@ def split_char_values(lam, w: Permutation, basis: str = "A"):
         elem = b_elem(w)
     else:
         raise ValueError("basis must be A or B")
-    plain = char_of_elem_via_class_polys(lam, elem)
-    twisted = twisted_char_of_elem(lam, elem)
+    plain = twisted = TowerElem.zero()
+    for y, c in elem.coeffs.items():
+        plain = plain + char_via_class_polys(lam, y).scale(c)
+        twisted = twisted + twisted_char(lam, y, convention=convention)[0].scale(c)
     return (plain + twisted).scale(R_HALF), (plain - twisted).scale(R_HALF)
 
 
@@ -625,16 +627,19 @@ def char_table(n: int) -> CharTable:
     cols = tuple(alt_classes(n))
     rows = []
     for kind, lam in table_rows(n):
-        cells = []
-        for cc, rep in cols:
-            if kind == "pair":  # the half sum of two plain values, in Z[q, q^-1]
-                v = _scalar(_ram(lam, cc.cycle_type) + _ram(conjugate(lam), cc.cycle_type), 2)
-            else:
+        if kind == "pair":  # the half sum of two plain values, in Z[q, q^-1]
+            cells = tuple(_scalar(_ram(lam, cc.cycle_type)
+                                  + _ram(conjugate(lam), cc.cycle_type), 2)
+                          for cc, _ in cols)
+            rows.append(TableRow(kind, lam, cells))
+        elif kind == "plus":  # both split rows at once; the minus row follows
+            halves = []
+            for cc, rep in cols:
                 plain = plain_char(lam, cc.cycle_type)
-                tw = _twisted_value(lam, rep)
-                v = (plain + tw).scale(R_HALF) if kind == "plus" else (plain - tw).scale(R_HALF)
-            cells.append(v)
-        rows.append(TableRow(kind, lam, tuple(cells)))
+                tw = twisted_char(lam, rep)[0]
+                halves.append(((plain + tw).scale(R_HALF), (plain - tw).scale(R_HALF)))
+            plus, minus = zip(*halves)
+            rows += [TableRow("plus", lam, plus), TableRow("minus", lam, minus)]
     return CharTable(n, resolve_sigma(), cols, tuple(rows))
 
 

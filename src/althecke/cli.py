@@ -63,9 +63,8 @@ from .verify import SUITES
 
 def _guard_n(n: int, force: bool):
     if n > DEFAULT_N_MAX and not force:
-        raise SystemExit(
-            f"error: degree {n} exceeds the resource guard {DEFAULT_N_MAX}; "
-            f"pass --force to override")
+        raise ValueError(f"degree {n} exceeds the resource guard {DEFAULT_N_MAX}; "
+                         f"pass --force to override")
 
 
 def _emit(doc, fmt: str, csv_text: str | None = None) -> None:
@@ -176,7 +175,7 @@ def cmd_char(args) -> int:
         doc["alt_char"] = tower_to_obj(half_sum)
         doc["alt_char_pretty"] = pretty_tower(half_sum)
         if is_self_conjugate(lam) and args.sign in ("+", "-", "both"):
-            plus, minus = split_char_values(lam, w)
+            plus, minus = split_char_values(lam, w, convention=args.convention)
             doc["split"] = {
                 name: _value_obj(v, args.convention)
                 for sign, name, v in (("+", "plus", plus), ("-", "minus", minus))
@@ -194,11 +193,7 @@ def cmd_tau_char(args) -> int:
     word = parse_word(args.word)
     w = from_word(word, n)
     reduction = reduce_to_composition(w)
-    value, a_poly = twisted_char(lam, w, reduction)
-    h, d = diagonal_hooks(lam)
-    if args.convention == "paper" and ((n - d) // 2) % 2:
-        # the literal published constant differs globally by (-1)^((n-d)/2)
-        value = -value
+    value, a_poly = twisted_char(lam, w, reduction, args.convention)
     steps = [
         {
             "kind": "DROP2" if isinstance(st, Drop2Step) else "FLAT",
@@ -214,16 +209,15 @@ def cmd_tau_char(args) -> int:
         "shape": list(lam),
         "word": list(word),
         "cycle_type": list(w.cycle_type()),
-        "hooks": list(h),
+        "hooks": list(diagonal_hooks(lam)[0]),
         "convention": args.convention,
         "sigma": resolve_sigma(),
         "value": tower_to_obj(value),
         "pretty": pretty_tower(value),
         "recursion_steps": steps,
+        "a_poly": ratfunc_to_obj(a_poly),
+        "a_poly_pretty": str(a_poly),
     }
-    if a_poly is not None:
-        doc["a_poly"] = ratfunc_to_obj(a_poly)
-        doc["a_poly_pretty"] = str(a_poly)
     _emit(doc, args.format)
     return 0
 
@@ -260,16 +254,13 @@ def cmd_classpoly(args) -> int:
 def cmd_basis(args) -> int:
     n = args.n
     _guard_n(n, args.force)
-    which = args.which.upper()
-    builders = {"A": a_elem, "B": b_elem}
-    if which not in builders:
-        raise SystemExit("error: --which must be A or B")
+    build = {"A": a_elem, "B": b_elem}[args.which]
     rows = []
     for w in all_permutations(n):
-        elem = builders[which](w)
+        elem = build(w)
         rows.append({"perm": list(w.one_line), "length": w.length(),
                      "element": hecke_to_obj(elem)})
-    _emit({"command": "basis", "n": n, "which": which,
+    _emit({"command": "basis", "n": n, "which": args.which,
            "convention": args.convention, "rows": rows}, args.format)
     return 0
 
@@ -349,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="dump the A or B basis")
     common(p, need_n=True)
-    p.add_argument("--which", default="B")
+    p.add_argument("--which", type=str.upper, choices=("A", "B"), default="B")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("verify", help="run verification suites")

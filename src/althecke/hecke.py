@@ -28,6 +28,7 @@ from .scalars import (
     R_HALF,
     R_ONE,
     RatFunc,
+    _add_term,
     q_minus_qinv,
     q_plus_qinv,
 )
@@ -36,19 +37,6 @@ from .symgroup import Permutation, from_word, identity
 
 class NotAlternatingError(ValueError):
     """An element fixed by the sign-twisted involution was required."""
-
-
-def _add_term(acc: dict, w: Permutation, v: RatFunc) -> None:
-    """acc[w] += v on a coefficient dict, dropping a term that cancels."""
-    cur = acc.get(w)
-    if cur is None:
-        acc[w] = v
-    else:
-        cur = cur + v
-        if cur:
-            acc[w] = cur
-        else:
-            del acc[w]
 
 
 class HeckeElem:

@@ -222,10 +222,6 @@ class LaurentPoly:
         return L_ONE
 
     @classmethod
-    def term(cls, exp: int, coeff=1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
     def q_power(cls, exp: int) -> "LaurentPoly":
         return cls._raw({exp: (1, 0)})
 
@@ -829,6 +825,20 @@ def _p_ratfunc(k: int) -> RatFunc:
     return RatFunc.from_laurent(p_poly(k))
 
 
+def _add_term(acc: dict, key, v) -> None:
+    """acc[key] += v on a coefficient dict, keeping no zero coefficient."""
+    cur = acc.get(key)
+    if cur is None:
+        if v:
+            acc[key] = v
+    else:
+        cur = cur + v
+        if cur:
+            acc[key] = cur
+        else:
+            del acc[key]
+
+
 # ---------------------------------------------------------------------------
 # The square-root tower
 # ---------------------------------------------------------------------------
@@ -920,15 +930,7 @@ class TowerElem:
             return NotImplemented
         t = dict(self.terms)
         for s, c in o.terms.items():
-            cur = t.get(s)
-            if cur is None:
-                t[s] = c
-            else:
-                cur = cur + c
-                if cur:
-                    t[s] = cur
-                else:
-                    del t[s]
+            _add_term(t, s, c)
         return TowerElem._raw(t)
 
     __radd__ = __add__
@@ -959,17 +961,7 @@ class TowerElem:
                 common = s1 & s2
                 for k in common:
                     c = c * _p_ratfunc(k)
-                key = s1 ^ s2
-                cur = t.get(key)
-                if cur is None:
-                    if c:
-                        t[key] = c
-                else:
-                    cur = cur + c
-                    if cur:
-                        t[key] = cur
-                    else:
-                        del t[key]
+                _add_term(t, s1 ^ s2, c)
         return TowerElem._raw(t)
 
     __rmul__ = __mul__

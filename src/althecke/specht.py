@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .combinat import NotSymmetricError, conjugate, std_tableaux
 from .hecke import HeckeElem, NotAlternatingError, hash_inv, is_alternating
-from .scalars import R_HALF, R_ONE, RatFunc, TowerElem, alpha_coeff, qint
+from .scalars import R_HALF, RatFunc, TowerElem, _add_term, alpha_coeff, qint
 from .symgroup import Permutation
 
 
@@ -98,17 +98,7 @@ def mat_mul(a, b):
         acc = {}
         for k, v in row.items():
             for j, w in b[k].items():
-                p = v * w
-                cur = acc.get(j)
-                if cur is None:
-                    if p:
-                        acc[j] = p
-                else:
-                    cur = cur + p
-                    if cur:
-                        acc[j] = cur
-                    else:
-                        del acc[j]
+                _add_term(acc, j, v * w)
         out.append(acc)
     return out
 
@@ -118,15 +108,7 @@ def mat_add(a, b):
     for ra, rb in zip(a, b):
         acc = dict(ra)
         for j, w in rb.items():
-            cur = acc.get(j)
-            if cur is None:
-                acc[j] = w
-            else:
-                cur = cur + w
-                if cur:
-                    acc[j] = cur
-                else:
-                    del acc[j]
+            _add_term(acc, j, w)
         out.append(acc)
     return out
 

@@ -46,6 +46,7 @@ from althecke.scalars import (
 from althecke.specht import char_alt, char_T, twisted_trace
 from althecke.symgroup import (
     Drop2Step,
+    FlatStep,
     all_permutations,
     alt_classes,
     from_word,
@@ -223,6 +224,46 @@ def test_twisted_char_matches_oracle_small():
                 if coeffs:
                     h, d = diagonal_hooks(lam)
                     assert max(coeffs) <= w.length() - w_of_composition(h).length()
+
+
+def _folded(ws):
+    """Every permutation a fold of ws visits: ws and, recursively, the
+    witnesses of their FLAT steps."""
+    seen, stack = set(), list(ws)
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack += [st.witness for st in reduce_to_composition(w)[1]
+                      if isinstance(st, FlatStep)]
+    return seen
+
+
+@pytest.mark.parametrize("n, sample", [(6, None), (8, 150)])
+def test_twisted_value_folds_once_per_permutation(n, sample):
+    # one fold serves every self-conjugate shape of the degree: one at
+    # degree 6, (4,2,1,1) and (3,3,2) at degree 8
+    evens = [w for w in all_permutations(n) if w.is_even()]
+    if sample:
+        evens = random.Random(n).sample(evens, sample)
+    shapes = self_conjugate_partitions(n)
+    chars._twisted_value.cache_clear()
+    for lam in shapes:
+        for w in evens:
+            twisted_char(lam, w)
+    assert chars._twisted_value.cache_info().misses == len(_folded(evens))
+
+
+def test_twisted_class_polys_keys_and_degrees():
+    # the degree bound is the one a skip of short FLAT witnesses relies on
+    n = 6
+    for w in all_permutations(n):
+        for h, a in chars._twisted_value(w):
+            assert sum(h) == n and list(h) == sorted(set(h), reverse=True)
+            assert all(k % 2 for k in h)
+            coeffs = delta_coefficients(a)
+            assert coeffs, (w, h)
+            assert max(coeffs) <= w.length() - (n - len(h)), (w, h)
 
 
 def test_equiv_class_example_two_singletons():

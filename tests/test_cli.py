@@ -98,12 +98,78 @@ def test_classpoly_golden_n7_n8(goldens):
         assert out == case["stdout"]
 
 
+def test_char_golden_self_conjugate(goldens):
+    # self-conjugate shapes of degree 6..9, even and odd words, every --sign
+    cases = json.loads((goldens / "char_selfconj.json").read_text(encoding="utf-8"))
+    assert {sum(map(int, case["argv"][2].split(","))) for case in cases} == {6, 7, 8, 9}
+    for case in cases:
+        code, out = run_cli(case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
+
+
+def _split_and_twisted(shape, word, convention):
+    from althecke.scalars import tower_from_obj
+
+    query = ["--shape", shape, "--word", word, "--convention", convention]
+    _, out = run_cli(["char", *query])
+    doc = json.loads(out)
+    _, out = run_cli(["tau-char", *query])
+    tau = json.loads(out)
+    return (tower_from_obj(doc["hecke_char"]), tower_from_obj(tau["value"]),
+            tower_from_obj(doc["split"]["plus"]["value"]),
+            tower_from_obj(doc["split"]["minus"]["value"]))
+
+
+@pytest.mark.parametrize("shape, word, swapped", [
+    ("3,3,3", "8,5,1,2,3,4,6,7", True),  # (n - d)/2 = 3
+    ("3,1,1", "1,2,3,4", False),  # (n - d)/2 = 2
+])
+def test_char_split_follows_the_convention(shape, word, swapped):
+    from althecke.scalars import R_HALF
+
+    plain, tw, plus, minus = _split_and_twisted(shape, word, "paper")
+    assert not tw.is_zero()
+    assert plus == (plain + tw).scale(R_HALF)
+    assert minus == (plain - tw).scale(R_HALF)
+    _, _, oracle_plus, oracle_minus = _split_and_twisted(shape, word, "oracle")
+    if swapped:
+        assert (plus, minus) == (oracle_minus, oracle_plus)
+    else:
+        assert (plus, minus) == (oracle_plus, oracle_minus)
+
+
+def test_bench_refs_digests(monkeypatch):
+    # every query of the benchmark pools reproduces its recorded output
+    import hashlib
+
+    monkeypatch.delenv("ALTHECKE_CACHE_DIR", raising=False)
+    refs = Path(__file__).resolve().parent.parent / "bench" / "refs"
+    for workload in ("table", "twisted", "classpoly"):
+        pool = json.loads((refs / f"{workload}.json").read_text(encoding="utf-8"))
+        assert pool["queries"]
+        for query in pool["queries"]:
+            code, out = run_cli(query["argv"])
+            assert code == 0, query["argv"]
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:32]
+            assert digest == query["sha256"], query["argv"]
+
+
 def test_basis_command():
     code, out = run_cli(["basis", "-n", "3", "--which", "B"])
     assert code == 0
     doc = json.loads(out)
     assert doc["which"] == "B"
     assert len(doc["rows"]) == 6
+    assert run_cli(["basis", "-n", "3", "--which", "b"]) == (code, out)
+
+
+def test_basis_rejects_an_unknown_which(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["basis", "-n", "3", "--which", "C"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "usage: " in err_text and "--which" in err_text
 
 
 def test_verify_suites_pass(goldens):
@@ -160,9 +226,13 @@ def test_tau_char_rejects_a_shape_that_is_not_self_conjugate(capsys):
     assert lines[1].startswith("usage: ")
 
 
-def test_resource_guard():
-    with pytest.raises(SystemExit):
+def test_resource_guard(capsys):
+    with pytest.raises(SystemExit) as err:
         run_cli(["table", "-n", "13"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("error: degree 13 exceeds the resource guard")
+    assert lines[1].startswith("usage: ")
 
 
 def test_usage_error_exits_nonzero():

@@ -11,6 +11,7 @@ from althecke.scalars import (
     RatFunc,
     TowerElem,
     UndefinedAxialDistanceError,
+    _add_term,
     alpha_coeff,
     bar_map,
     canonical_json,
@@ -270,6 +271,17 @@ def test_specialize_pole():
 
 
 # -- serialization -------------------------------------------------------------
+
+def test_add_term_keeps_no_zero_coefficient():
+    acc = {}
+    _add_term(acc, "x", RatFunc(0))  # a zero product is never stored
+    assert acc == {}
+    _add_term(acc, "x", qint(2))
+    _add_term(acc, "x", qint(3))
+    assert acc == {"x": qint(2) + qint(3)}
+    _add_term(acc, "x", -(qint(2) + qint(3)))  # a cancelled term is dropped
+    assert acc == {}
+
 
 def test_tower_serialization_roundtrip():
     a = alpha_coeff(2) * alpha_coeff(4) + TowerElem.from_scalar(qint(3) / 2)
