@@ -57,7 +57,7 @@ from .combinat import (
     std_tableaux,
     transposable_tableaux,
 )
-from .hecke import NotAlternatingError, b_in_a, t_in_b
+from .hecke import HeckeElem, NotAlternatingError, b_elem, expand_in_a
 from .scalars import (
     GaussianRational,
     LaurentPoly,
@@ -361,8 +361,8 @@ def _f_vector(w: Permutation) -> tuple:
     for step in reduce_to_composition(w)[1]:
         if isinstance(step, Drop2Step):
             for ctype, c in _f_vector(step.source.left_mult_s(step.s)):
-                acc[ctype] = acc.get(ctype, R_ZERO) + c * delta
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+                _add_term(acc, ctype, c * delta)
+    return tuple(sorted(acc.items()))
 
 
 def class_polys(w: Permutation) -> ClassPolyTable:
@@ -473,24 +473,24 @@ def _class_key(cc: ConjClass):
 @lru_cache(maxsize=None)
 def _min_rep_vector(ctype: tuple) -> tuple:
     """Alternating class polynomials of T at the odd minimal representative
-    ``w_of_composition(ctype)``: ((class key, RatFunc), ...).
+    w = ``w_of_composition(ctype)``: ((class key, RatFunc), ...).
 
-    T is rewritten through the parity-triangular basis, whose odd terms pair
-    to zero against restricted characters; each even B_y drops back to the
-    averaged basis, and every A_x is settled by the class polynomials of x.
-    Every such x is even, so strictly shorter than the odd representative.
+    The involution # is an algebra automorphism with A_x^# = eps_x A_x, so
+    T_w - A_w = (T_w + T_w^#)/2 is #-fixed: below A_w, which pairs to zero
+    against restricted characters, the averaged expansion of T_w has only
+    even terms.  Each such A_x, with x strictly shorter than w, is settled
+    by the class polynomials of x.
     """
+    w = w_of_composition(ctype)
     acc = {}
-    for y, s_coeff in t_in_b(w_of_composition(ctype)):
-        if not y.is_even():
+    for x, c in expand_in_a(HeckeElem.t_basis(w)).items():
+        if x == w:
             continue
-        for x, r_coeff in b_in_a(y):
-            if not x.is_even():
-                raise AssertionError("even basis element left the even span")
-            c = s_coeff * r_coeff
-            for key, g in _g_vector(x):
-                acc[key] = acc.get(key, R_ZERO) + c * g
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+        if not x.is_even():
+            raise AssertionError("#-fixed part of T_w left the even span")
+        for key, g in _g_vector(x):
+            _add_term(acc, key, c * g)
+    return tuple(sorted(acc.items()))
 
 
 @lru_cache(maxsize=None)
@@ -510,8 +510,8 @@ def _g_vector(w: Permutation) -> tuple:
         w_c = w_of_composition(ctype)
         terms = _g_vector(w_c) if w_c.is_even() else _min_rep_vector(ctype)
         for key, v in terms:
-            acc[key] = acc.get(key, R_ZERO) + f * v
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+            _add_term(acc, key, f * v)
+    return tuple(sorted(acc.items()))
 
 
 def alt_class_polys(w: Permutation) -> ClassPolyTable:
@@ -529,8 +529,6 @@ def split_char_values(lam, w: Permutation, basis: str = "A",
     ``convention``, as :func:`twisted_char` does; under ``"paper"`` the two
     values swap wherever (n - d)/2 is odd and the resolved sign is +1.
     """
-    from .hecke import HeckeElem, b_elem
-
     lam = tuple(lam)
     if conjugate(lam) != lam:
         raise NotSymmetricError(f"{lam} is not self-conjugate")

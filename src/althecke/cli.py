@@ -159,7 +159,10 @@ def cmd_char(args) -> int:
     _guard_n(n, args.force)
     word = parse_word(args.word)
     w = from_word(word, n)
-    value = char_via_class_polys(lam, w)
+    split = (split_char_values(lam, w, convention=args.convention)
+             if w.is_even() and is_self_conjugate(lam) else None)
+    # the split values sum to the plain one: each distinct shape once
+    value = split[0] + split[1] if split else char_via_class_polys(lam, w)
     doc = {
         "command": "char",
         "n": n,
@@ -171,14 +174,14 @@ def cmd_char(args) -> int:
         "hecke_char_pretty": pretty_tower(value),
     }
     if w.is_even():
-        half_sum = (value + char_via_class_polys(conjugate(lam), w)).scale(R_HALF)
+        half_sum = value if split else (
+            value + char_via_class_polys(conjugate(lam), w)).scale(R_HALF)
         doc["alt_char"] = tower_to_obj(half_sum)
         doc["alt_char_pretty"] = pretty_tower(half_sum)
-        if is_self_conjugate(lam) and args.sign in ("+", "-", "both"):
-            plus, minus = split_char_values(lam, w, convention=args.convention)
+        if split:
             doc["split"] = {
                 name: _value_obj(v, args.convention)
-                for sign, name, v in (("+", "plus", plus), ("-", "minus", minus))
+                for sign, name, v in zip("+-", ("plus", "minus"), split)
                 if args.sign in ("both", sign)}
     _emit(doc, args.format)
     return 0

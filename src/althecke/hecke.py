@@ -15,7 +15,8 @@ On top of the T-basis this module builds:
 * the averaged basis A_z = (T_z + eps_z * T_z^#)/2, whose fixed even span
   is the alternating subalgebra;
 * the parity-triangular basis B_z, the unique hash-eigenvector of the form
-  T_z plus Bruhat-lower terms of opposite length parity;
+  T_z plus Bruhat-lower terms of opposite length parity, which only the B
+  dumps, B split values and tests use (class polynomials need only A_z);
 * the involution generators E_i = (2 T_i - q + q**-1)/(q + q**-1) with
   E_i**2 = 1 and E_i^# = -E_i.
 """
@@ -31,8 +32,10 @@ from .scalars import (
     _add_term,
     q_minus_qinv,
     q_plus_qinv,
+    ratfunc_from_obj,
+    ratfunc_to_obj,
 )
-from .symgroup import Permutation, from_word, identity
+from .symgroup import Permutation, all_permutations, from_word, identity
 
 
 class NotAlternatingError(ValueError):
@@ -264,8 +267,6 @@ def b_elem(w: Permutation) -> HeckeElem:
 
 def b_basis(n: int) -> dict:
     """The full parity-triangular basis of the degree-n algebra."""
-    from .symgroup import all_permutations
-
     return {w: b_elem(w) for w in all_permutations(n)}
 
 
@@ -333,15 +334,11 @@ def b_in_a(w: Permutation) -> tuple:
 # ---------------------------------------------------------------------------
 
 def hecke_to_obj(a: HeckeElem) -> list:
-    from .scalars import ratfunc_to_obj
-
     return [{"perm": list(w.one_line), "coeff": ratfunc_to_obj(v)}
             for w, v in sorted(a.coeffs.items(),
                                key=lambda kv: (kv[0].length(), kv[0].one_line))]
 
 
 def hecke_from_obj(obj, n: int) -> HeckeElem:
-    from .scalars import ratfunc_from_obj
-
     return HeckeElem(n, {Permutation(t["perm"]): ratfunc_from_obj(t["coeff"])
                          for t in obj})

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .combinat import NotSymmetricError, conjugate, std_tableaux
 from .hecke import HeckeElem, NotAlternatingError, hash_inv, is_alternating
-from .scalars import R_HALF, RatFunc, TowerElem, _add_term, alpha_coeff, qint
+from .scalars import R_HALF, RatFunc, TowerElem, _add_term, alpha_coeff, q_minus_qinv, qint
 from .symgroup import Permutation
 
 
@@ -160,8 +160,6 @@ def elem_matrix(rep: SemiRep, h: HeckeElem):
 def hashed_word_matrix(rep: SemiRep, word):
     """Matrix of the sign-twisted image of a word: the ordered product of
     (-M_i + (q - q^-1) I) along the word."""
-    from .scalars import q_minus_qinv
-
     delta = q_minus_qinv()
     out = mat_identity(rep.dim)
     for i in word:

@@ -14,6 +14,7 @@ built from one whose length is known never counts its inversions.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
@@ -465,8 +466,6 @@ def _insort(lst, x):
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple:
     """All of S_n sorted by (length, one_line)."""
-    import itertools
-
     perms = [Permutation._raw(p) for p in itertools.permutations(range(1, n + 1))]
     perms.sort(key=lambda w: (w.length(), w.one_line))
     return tuple(perms)

@@ -34,11 +34,12 @@ from althecke.combinat import (
     std_tableaux,
     transposable_tableaux,
 )
-from althecke.hecke import a_elem
+from althecke.hecke import a_elem, b_in_a, t_in_b
 from althecke.scalars import (
     GaussianRational,
     RatFunc,
     TowerElem,
+    _add_term,
     alpha_coeff,
     q_minus_qinv,
     qint,
@@ -199,6 +200,23 @@ def test_min_rep_vector_once_per_odd_cycle_type():
     info = chars._min_rep_vector.cache_info()
     assert odd_types and info.misses == len(odd_types)
     assert info.hits > 0
+
+
+def test_min_rep_vector_matches_the_parity_triangular_route():
+    # the even part of T_w through the B basis, each even B_y back in the
+    # averaged basis: the route the averaged expansion alone replaced
+    for n in range(2, 9):
+        for ctype in partitions_of(n):
+            w = w_of_composition(ctype)
+            if w.is_even():
+                continue
+            acc = {}
+            for y, s in t_in_b(w):
+                if y.is_even():
+                    for x, r in b_in_a(y):
+                        for key, g in chars._g_vector(x):
+                            _add_term(acc, key, s * r * g)
+            assert chars._min_rep_vector(ctype) == tuple(sorted(acc.items()))
 
 
 def test_twisted_char_examples():

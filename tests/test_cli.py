@@ -325,6 +325,28 @@ def test_tau_char_reduces_the_query_once(monkeypatch, goldens):
     assert out.encode("utf-8") == (goldens / "tau_char_n9_first.json").read_bytes()
 
 
+@pytest.mark.parametrize("shape, word, calls", [
+    ("3,3,3", "8,5,1,2,3,4,6,7", 1),  # self-conjugate: the split values sum to it
+    ("3,2", "1,2,3,4", 2),  # the shape and its conjugate
+])
+def test_char_computes_each_distinct_shape_once(monkeypatch, shape, word, calls):
+    import althecke.chars
+    import althecke.cli
+
+    seen = []
+    plain = althecke.chars.char_via_class_polys
+
+    def counted(lam, w):
+        seen.append(tuple(lam))
+        return plain(lam, w)
+
+    for mod in (althecke.chars, althecke.cli):
+        monkeypatch.setattr(mod, "char_via_class_polys", counted)
+    code, _ = run_cli(["char", "--shape", shape, "--word", word])
+    assert code == 0
+    assert len(seen) == len(set(seen)) == calls
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # both cost set-up time on every start; a fresh interpreter shows them
     import althecke

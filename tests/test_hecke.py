@@ -248,6 +248,17 @@ def test_basis_transitions_invert(n):
         assert acc == b_elem(w)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_odd_t_in_a_is_even_below_its_leading_term(n):
+    # T_w - A_w = (T_w + T_w^#)/2 is #-fixed, so only even A_x remain
+    for w in all_permutations(n):
+        if w.is_even():
+            continue
+        expansion = expand_in_a(HeckeElem.t_basis(w))
+        assert expansion.pop(w) == R_ONE
+        assert all(x.is_even() for x in expansion)
+
+
 def test_peeling_leaves_cached_elements_alone():
     # the transitions peel a working dict; the cached A and B elements they
     # subtract must come out as they went in
