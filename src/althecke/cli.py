@@ -9,9 +9,10 @@ Subcommands::
     basis      dump an averaged or parity-triangular basis
     verify     run the identity/verification suites
 
-Output is canonical JSON (byte-identical across runs) or CSV; every value
-document carries the sign convention in its metadata.  Words and shapes
-are comma-separated and 1-based on the command line.
+Output is canonical JSON (byte-identical across runs), or CSV for
+``table``.  Every value document carries the sign convention in its
+metadata; only ``char`` and ``tau-char`` read ``--convention``.  Words and
+shapes are comma-separated and 1-based on the command line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import tempfile
 from functools import lru_cache
 
 from .scalars import (
-    DEFAULT_N_MAX,
     R_HALF,
     canonical_json,
     pretty_tower,
@@ -61,17 +61,18 @@ from .chars import (
 from .verify import SUITES
 
 
+#: Resource guard: widths beyond this make tower/tableau enumeration explode.
+DEFAULT_N_MAX = 12
+
+
 def _guard_n(n: int, force: bool):
     if n > DEFAULT_N_MAX and not force:
         raise ValueError(f"degree {n} exceeds the resource guard {DEFAULT_N_MAX}; "
                          f"pass --force to override")
 
 
-def _emit(doc, fmt: str, csv_text: str | None = None) -> None:
-    if fmt == "csv" and csv_text is not None:
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(canonical_json(doc) + "\n")
+def _emit(doc) -> None:
+    sys.stdout.write(canonical_json(doc) + "\n")
 
 
 def _value_obj(value, convention: str) -> dict:
@@ -149,7 +150,10 @@ def _cached_table(n: int) -> dict:
 def cmd_table(args) -> int:
     _guard_n(args.n, args.force)
     obj = _cached_table(args.n)
-    _emit(obj, args.format, table_csv(obj) if args.format == "csv" else None)
+    if args.format == "csv":
+        sys.stdout.write(table_csv(obj))
+    else:
+        _emit(obj)
     return 0
 
 
@@ -183,7 +187,7 @@ def cmd_char(args) -> int:
                 name: _value_obj(v, args.convention)
                 for sign, name, v in zip("+-", ("plus", "minus"), split)
                 if args.sign in ("both", sign)}
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
@@ -221,7 +225,7 @@ def cmd_tau_char(args) -> int:
         "a_poly": ratfunc_to_obj(a_poly),
         "a_poly_pretty": str(a_poly),
     }
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
@@ -234,7 +238,7 @@ def cmd_classpoly(args) -> int:
     doc = {
         "command": "classpoly",
         "n": n,
-        "convention": args.convention,
+        "convention": "oracle",
         "word": list(word),
         "length": w.length(),
         "cycle_type": list(w.cycle_type()),
@@ -250,7 +254,7 @@ def cmd_classpoly(args) -> int:
              "poly": ratfunc_to_obj(c), "pretty": str(c)}
             for key, c in g_table.entries
         ]
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
@@ -264,7 +268,7 @@ def cmd_basis(args) -> int:
         rows.append({"perm": list(w.one_line), "length": w.length(),
                      "element": hecke_to_obj(elem)})
     _emit({"command": "basis", "n": n, "which": args.which,
-           "convention": args.convention, "rows": rows}, args.format)
+           "convention": "oracle", "rows": rows})
     return 0
 
 
@@ -286,9 +290,9 @@ def cmd_verify(args) -> int:
         results.append({"suite": name, "checks": total, "failures": bad})
     failed = any(r["failures"] for r in results)
     doc = {"command": "verify", "n": args.n, "seed": args.seed,
-           "convention": args.convention, "results": results,
+           "convention": "oracle", "results": results,
            "passed": not failed}
-    _emit(doc, args.format)
+    _emit(doc)
     return 1 if failed else 0
 
 
@@ -311,27 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact irreducible characters of alternating Hecke algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=False):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--convention", choices=("oracle", "paper"), default="oracle")
+    def common(p, need_n=False, convention=False):
+        if convention:
+            p.add_argument("--convention", choices=("oracle", "paper"), default="oracle")
         p.add_argument("--force", action="store_true",
                        help=f"override the n <= {DEFAULT_N_MAX} resource guard")
         if need_n:
             p.add_argument("-n", type=int, required=True)
 
     p = sub.add_parser("table", help="full character table")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p, need_n=True)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("char", help="character values of one shape")
-    common(p)
+    common(p, convention=True)
     p.add_argument("--shape", required=True, help="partition, e.g. 3,3,3")
     p.add_argument("--word", default="", help="generator word, e.g. 1,2,3")
     p.add_argument("--sign", choices=("+", "-", "both"), default="both")
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("tau-char", help="twisted character value")
-    common(p)
+    common(p, convention=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--word", default="")
     p.set_defaults(func=cmd_tau_char)

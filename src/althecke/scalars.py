@@ -35,10 +35,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-#: Resource guard: widths beyond this make tower/tableau enumeration explode.
-DEFAULT_N_MAX = 12
-
-
 class PoleError(ArithmeticError):
     """A numeric specialization hit a vanishing denominator."""
 
@@ -1065,8 +1061,8 @@ def bar_map(a: TowerElem) -> TowerElem:
 def specialize_numeric(a: TowerElem, q0, branch=None) -> complex:
     """Evaluate at a rational q0 with chosen square-root branches.
 
-    ``branch`` maps a generator index to +1 or -1 (default +1); the value
-    of y_k is branch(k) * sqrt([k]/q at q0) in double precision.
+    ``branch`` is a dict from generator index to +1 or -1 (default +1);
+    the value of y_k is branch[k] * sqrt([k]/q at q0) in double precision.
     """
     q0 = Fraction(q0)
     if not q0:
@@ -1076,7 +1072,7 @@ def specialize_numeric(a: TowerElem, q0, branch=None) -> complex:
         val = c.evaluate(q0).to_complex()
         for k in s:
             rad = p_poly(k).evaluate(q0).re
-            sgn = 1 if branch is None else branch.get(k, 1) if isinstance(branch, dict) else branch(k)
+            sgn = branch.get(k, 1) if branch else 1
             val *= sgn * math.sqrt(rad)
         total += val
     return total

@@ -15,9 +15,8 @@ for self-conjugate shapes it is an involution of the module, and the trace
 of (x followed by tau) is the ground-truth oracle every closed character
 formula in :mod:`althecke.chars` is validated against.
 
-This module is an oracle only: the tests, the ``verify`` suites and the
-sign resolution of :func:`althecke.chars.resolve_sigma` use its traces,
-while character tables and the ``char``/``tau-char``/``classpoly``
+This module is an oracle only: the tests and the ``verify`` suites use its
+traces, while character tables and the ``char``/``tau-char``/``classpoly``
 commands compute from formulas without building a module.
 """
 

@@ -15,6 +15,7 @@ built from one whose length is known never counts its inversions.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
@@ -198,23 +199,18 @@ def from_word(word, n: int) -> Permutation:
     return w
 
 
-def w_of_composition(kappa, n: int | None = None) -> Permutation:
+def w_of_composition(kappa) -> Permutation:
     """The product of consecutive cycles (1..k1)(k1+1..k1+k2)... for kappa."""
     kappa = tuple(kappa)
     if any(k < 1 for k in kappa):
         raise MalformedCompositionError(f"composition parts must be positive: {kappa}")
-    total = sum(kappa)
-    if n is None:
-        n = total
-    elif n != total:
-        raise MalformedCompositionError(f"composition {kappa} does not sum to {n}")
     ol = []
     start = 1
     for k in kappa:
         ol.extend(range(start + 1, start + k))
         ol.append(start)
         start += k
-    return Permutation._raw(tuple(ol), n - len(kappa))
+    return Permutation._raw(tuple(ol), len(ol) - len(kappa))
 
 
 def composition_of(w: Permutation):
@@ -444,23 +440,12 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     n = u.n
     ua, va = [], []
     for k in range(n - 1):
-        _insort(ua, a[k])
-        _insort(va, b[k])
+        insort(ua, a[k])
+        insort(va, b[k])
         for x, y in zip(ua, va):
             if x > y:
                 return False
     return True
-
-
-def _insort(lst, x):
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    lst.insert(lo, x)
 
 
 @lru_cache(maxsize=None)

@@ -99,6 +99,15 @@ def test_sigma_is_plus_one():
     assert resolve_sigma() == 1
 
 
+def test_oracle_cases_catch_a_flipped_sigma(monkeypatch):
+    # resolve_sigma is a constant; the oracle comparison is what pins it
+    from althecke.verify import oracle_cases
+
+    monkeypatch.setattr(chars, "resolve_sigma", lambda: -1)
+    failed = [case for case, ok in oracle_cases(3) if not ok]
+    assert failed == [((2, 1), (3,))]
+
+
 def test_closed_examples():
     i = GaussianRational(0, 1)
     expect = TowerElem.gen(3).scale(RatFunc.q_power(-1) * RatFunc(i))

@@ -359,3 +359,51 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "--shape", "2,1", "--word", "1,2", "--format", "csv"],
+    ["tau-char", "--shape", "2,1", "--word", "1,2", "--format", "csv"],
+    ["classpoly", "-n", "3", "--word", "1,2", "--format", "csv"],
+    ["basis", "-n", "3", "--format", "csv"],
+    ["verify", "--suite", "cute", "--format", "csv"],
+    ["table", "-n", "3", "--convention", "paper"],
+    ["classpoly", "-n", "3", "--word", "1,2", "--convention", "paper"],
+    ["basis", "-n", "3", "--convention", "paper"],
+    ["verify", "--suite", "cute", "--convention", "paper"],
+])
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: ") and "unrecognized arguments" in err_text
+
+
+def test_production_queries_build_no_module_and_take_no_gcd():
+    # a fresh interpreter, so process set-up is counted and no cache is warm
+    import althecke
+
+    src = str(Path(althecke.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("ALTHECKE_CACHE_DIR", None)
+    code = """
+import contextlib, io
+import althecke.scalars, althecke.specht
+calls = []
+for mod, name in ((althecke.specht, "build_rep"), (althecke.scalars, "_poly_gcd")):
+    def counted(*args, _fn=getattr(mod, name), _name=name):
+        calls.append(_name)
+        return _fn(*args)
+    setattr(mod, name, counted)
+from althecke.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["table", "-n", "6"]) == 0
+    assert main(["tau-char", "--shape", "3,3,3", "--word", "8,5,1,2,3,4,6,7"]) == 0
+    assert main(["classpoly", "-n", "5", "--word", "2,1,3,2,4,3"]) == 0
+print(calls)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
