@@ -31,19 +31,20 @@ closed-form unit of the shape times a coefficient a_w(h) that does not
 depend on the shape.  One fold per permutation gives every a_w(h), for all
 self-conjugate shapes of the degree at once.
 
-Character tables and single character values never touch a matrix.  A
-plain value at a minimal-length representative comes from Ram's
-broken-border-strip rule (:func:`plain_char`), at any other permutation
-through the class polynomials; a twisted value is the closed-form unit
-scaled by its twisted class polynomial.  The matrix traces of
-:mod:`althecke.specht` only check these routes.
+Character tables, single values and class polynomials touch neither a
+matrix nor a Hecke-algebra element.  A plain value at a minimal-length
+representative comes from Ram's broken-border-strip rule
+(:func:`plain_char`), at any other permutation through the class
+polynomials; a twisted value is the closed-form unit scaled by its twisted
+class polynomial.  Only the B-basis split values read :mod:`althecke.hecke`;
+the matrix traces of :mod:`althecke.specht` only check these routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations
 from math import comb
 from typing import NamedTuple
 
@@ -58,7 +59,7 @@ from .combinat import (
     std_tableaux,
     transposable_tableaux,
 )
-from .hecke import HeckeElem, NotAlternatingError, b_elem, expand_in_a
+from .hecke import NotAlternatingError, b_elem
 from .scalars import (
     GaussianRational,
     LaurentPoly,
@@ -77,12 +78,12 @@ from .scalars import (
     tower_to_obj,
 )
 from .symgroup import (
-    ConjClass,
     Drop2Step,
     FlatStep,
     Permutation,
     alt_classes,
     an_class_of,
+    from_word,
     increasing_word,
     is_min_length,
     reduce_to_composition,
@@ -459,8 +460,16 @@ def _scalar(terms, den: int = 1) -> TowerElem:
 # Alternating class polynomials
 # ---------------------------------------------------------------------------
 
-def _class_key(cc: ConjClass):
-    return (cc.cycle_type, cc.alt_sign)
+@lru_cache(maxsize=None)
+def _drop_coeff(k: int) -> RatFunc:
+    """c_k = k! [u^k] (1 + tanh(delta u/2)), delta = q - q^-1: the A-basis weight
+    of a subword that drops k distinct letters.  C(u) = sum(c_k u^k/k!) solves
+    C(u) (1 + exp(-delta u)) = 2, so 2 c_k = -sum_(j>=1) C(k,j) (-delta)^j c_(k-j)."""
+    acc, power = R_ZERO, R_ONE
+    for j in range(1, k + 1):
+        power = power * -q_minus_qinv()
+        acc = acc + power * _drop_coeff(k - j) * comb(k, j)
+    return -acc * R_HALF if k else R_ONE
 
 
 @lru_cache(maxsize=None)
@@ -468,21 +477,17 @@ def _min_rep_vector(ctype: tuple) -> tuple:
     """Alternating class polynomials of T at the odd minimal representative
     w = ``w_of_composition(ctype)``: ((class key, RatFunc), ...).
 
-    The involution # is an algebra automorphism with A_x^# = eps_x A_x, so
-    T_w - A_w = (T_w + T_w^#)/2 is #-fixed: below A_w, which pairs to zero
-    against restricted characters, the averaged expansion of T_w has only
-    even terms.  Each such A_x, with x strictly shorter than w, is settled
-    by the class polynomials of x.
+    The increasing word of w has distinct letters, so T_w^# =
+    prod(q - q^-1 - T_i) is a sum over subwords and T_w = sum(c_k A_(w_S))
+    over the subwords S that drop k letters (:func:`_drop_coeff`).  Below
+    A_w, which pairs to zero against restricted characters, only odd k
+    survive, and each such w_S is an even minimal representative.
     """
-    w = w_of_composition(ctype)
+    word = increasing_word(ctype)
     acc = {}
-    for x, c in expand_in_a(HeckeElem.t_basis(w)).items():
-        if x == w:
-            continue
-        if not x.is_even():
-            raise AssertionError("#-fixed part of T_w left the even span")
-        for key, g in _g_vector(x):
-            _add_term(acc, key, c * g)
+    for k in range(1, len(word) + 1, 2):
+        for kept in combinations(word, len(word) - k):
+            _add_term(acc, an_class_of(from_word(kept, sum(ctype))), _drop_coeff(k))
     return tuple(sorted(acc.items()))
 
 
@@ -497,7 +502,7 @@ def _g_vector(w: Permutation) -> tuple:
     if not w.is_even():
         raise NotAlternatingError(f"{w!r} is odd")
     if is_min_length(w):
-        return ((_class_key(an_class_of(w)), R_ONE),)
+        return ((an_class_of(w), R_ONE),)
     acc = {}
     for ctype, f in _f_vector(w):
         w_c = w_of_composition(ctype)
@@ -527,16 +532,16 @@ def split_char_values(lam, w: Permutation, basis: str = "A",
         raise NotSymmetricError(f"{lam} is not self-conjugate")
     if not w.is_even():
         raise NotAlternatingError(f"{w!r} is odd")
-    if basis == "A":
-        elem = HeckeElem.t_basis(w)  # averaging is invisible to both traces
+    if basis == "A":  # averaging is invisible to both traces
+        plain = char_via_class_polys(lam, w)
+        twisted = twisted_char(lam, w, convention=convention)[0]
     elif basis == "B":
-        elem = b_elem(w)
+        plain = twisted = TowerElem.zero()
+        for y, c in b_elem(w).coeffs.items():
+            plain = plain + char_via_class_polys(lam, y).scale(c)
+            twisted = twisted + twisted_char(lam, y, convention=convention)[0].scale(c)
     else:
         raise ValueError("basis must be A or B")
-    plain = twisted = TowerElem.zero()
-    for y, c in elem.coeffs.items():
-        plain = plain + char_via_class_polys(lam, y).scale(c)
-        twisted = twisted + twisted_char(lam, y, convention=convention)[0].scale(c)
     return (plain + twisted).scale(R_HALF), (plain - twisted).scale(R_HALF)
 
 
@@ -803,16 +808,11 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
             raise AssertionError("block diagonal size disagrees with (part-1)/2 + 1")
         outside = tuple(v for v in sorted(t._pos) if t.cell_of(v) not in strip)
         outside_cells = tuple(t.cell_of(v) for v in outside)
-        eps_t = {}
-        eps_om = {}
-        t_om = t.entry(*omega)
-        for rc in x_cells:
-            r, c = rc
-            eps_t[rc] = 1 if t.entry(c, r) >= t.entry(r, c) else -1
-            eps_om[rc] = 1 if t.entry(r, c) >= t_om else -1
-        sign_prod = tuple(eps_t[rc] * eps_om[rc] for rc in x_cells)
+        sign_prod = tuple((1 if t.entry(c, r) >= t.entry(r, c) else -1)
+                          * (1 if t.entry(r, c) >= t.entry(*omega) else -1)
+                          for r, c in x_cells)
         key = (strip, outside, outside_cells, sign_prod)
-        classes.setdefault(key, []).append((t, eps_t, eps_om))
+        classes.setdefault(key, []).append(t)
 
     bijections_ok = True
     sums_ok = True
@@ -847,7 +847,7 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
 
         exts = _linear_extensions(less, size)
         ranks = set()
-        for t, _et, _eo in members:
+        for t in members:
             entries = [t.entry(r, c) for r, c in x_cells]
             order = sorted(range(size), key=lambda j: entries[j])
             rank = tuple(order)  # position i of the extension holds cell order[i]
@@ -858,7 +858,7 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
             bijections_ok = False
 
         total = TowerElem.zero()
-        for t, _et, _eo in members:
+        for t in members:
             total = total + _gamma_block(t, kappa, z)
         eps_class = 1
         for s in sign_prod:

@@ -61,7 +61,7 @@ from .chars import (
 from .verify import SUITES
 
 
-#: Resource guard: widths beyond this make tower/tableau enumeration explode.
+#: Resource guard: bounds the n! rows of ``basis`` and the matrix oracle of ``verify``.
 DEFAULT_N_MAX = 12
 
 

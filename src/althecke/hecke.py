@@ -13,10 +13,10 @@ On top of the T-basis this module builds:
 * the semilinear involutions ``bar_inv`` (q -> q**-1 on scalars,
   standard-basis elements to inverse-transposed inverses) and ``eps_inv``;
 * the averaged basis A_z = (T_z + eps_z * T_z^#)/2, whose fixed even span
-  is the alternating subalgebra;
+  is the alternating subalgebra; only ``basis``, B_z and the tests read it;
 * the parity-triangular basis B_z, the unique hash-eigenvector of the form
   T_z plus Bruhat-lower terms of opposite length parity, which only the B
-  dumps, B split values and tests use (class polynomials need only A_z);
+  dumps, B split values and tests use (class polynomials build neither);
 * the involution generators E_i = (2 T_i - q + q**-1)/(q + q**-1) with
   E_i**2 = 1 and E_i^# = -E_i.
 """

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +35,7 @@ from althecke.combinat import (
     std_tableaux,
     transposable_tableaux,
 )
-from althecke.hecke import a_elem, b_in_a, t_in_b
+from althecke.hecke import HeckeElem, a_elem, b_in_a, expand_in_a, t_in_b
 from althecke.scalars import (
     GaussianRational,
     RatFunc,
@@ -226,6 +227,28 @@ def test_min_rep_vector_matches_the_parity_triangular_route():
                         for key, g in chars._g_vector(x):
                             _add_term(acc, key, s * r * g)
             assert chars._min_rep_vector(ctype) == tuple(sorted(acc.items()))
+
+
+def test_drop_coeff_is_the_identity_coefficient_of_the_averaged_expansion():
+    # T at s_1...s_k: the empty subword drops all k letters
+    for k in range(1, 8):
+        n = k + 1
+        expansion = expand_in_a(HeckeElem.t_word(range(1, n), n))
+        assert expansion.get(identity(n), RatFunc(0)) == chars._drop_coeff(k)
+
+
+def test_drop_coeff_by_the_tangent_numbers():
+    # c_k = (-1)^((k-1)/2) T_k (delta/2)^k for odd k, zero for even k > 0
+    tangent = {1: 1, 3: 2, 5: 16, 7: 272, 9: 7936, 11: 353792}
+    half_delta = q_minus_qinv() * Fraction(1, 2)
+    assert chars._drop_coeff(0) == RatFunc(1)
+    for k in range(1, 12):
+        expect = RatFunc(0)
+        if k % 2:
+            expect = RatFunc((-1) ** (k // 2) * tangent[k])
+            for _ in range(k):
+                expect = expect * half_delta
+        assert chars._drop_coeff(k) == expect
 
 
 def test_twisted_char_examples():

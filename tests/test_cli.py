@@ -407,3 +407,23 @@ print(calls)
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_classpoly_builds_no_averaged_element(monkeypatch):
+    # the odd cycle type (4, 1) in the f-vector of s_2 s_3 s_4 s_3 is
+    # settled by the subword formula, not by expanding T in the A basis
+    from althecke import chars, hecke
+    from althecke.symgroup import from_word
+
+    calls = []
+    for name in ("a_elem", "_hash_of_t"):
+        def spy(w, _orig=getattr(hecke, name), _name=name):
+            calls.append(_name)
+            return _orig(w)
+        monkeypatch.setattr(hecke, name, spy)
+    for cache in (chars._f_vector, chars._g_vector, chars._min_rep_vector):
+        cache.cache_clear()
+    assert (4, 1) in dict(chars._f_vector(from_word([2, 3, 4, 3], 5)))
+    code, out = run_cli(["classpoly", "-n", "5", "--word", "2,3,4,3"])
+    assert code == 0 and json.loads(out)["g"]
+    assert calls == []
