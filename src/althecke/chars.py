@@ -36,13 +36,17 @@ matrix nor a Hecke-algebra element.  A plain value at a minimal-length
 representative comes from Ram's broken-border-strip rule
 (:func:`plain_char`), at any other permutation through the class
 polynomials; a twisted value is the closed-form unit scaled by its twisted
-class polynomial.  Only the B-basis split values read :mod:`althecke.hecke`;
-the matrix traces of :mod:`althecke.specht` only check these routes.
+class polynomial.  :func:`char_table` reads only Ram's rule and the closed
+form: its columns are minimal-length representatives, where the class
+polynomial is an indicator and the twisted class polynomial is +-1 at the
+hook class and zero elsewhere, so no recursion or conjugation search runs,
+and its cells are formed over integer coefficients.  Only the B-basis split
+values read :mod:`althecke.hecke`; the matrix traces of
+:mod:`althecke.specht` only check these routes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations
 from math import comb
@@ -62,13 +66,13 @@ from .combinat import (
 from .hecke import NotAlternatingError, b_elem
 from .scalars import (
     GaussianRational,
-    LaurentPoly,
     R_HALF,
     R_ONE,
     R_ZERO,
     RatFunc,
     TowerElem,
     _add_term,
+    _lowest,
     alpha_coeff,
     canonical_json,
     pretty_tower,
@@ -368,7 +372,8 @@ def char_via_class_polys(lam, w: Permutation) -> TowerElem:
     the values at minimal-length class representatives."""
     total = TowerElem.zero()
     for ctype, c in _f_vector(w):
-        total = total + plain_char(lam, ctype).scale(c)
+        value = plain_char(lam, ctype)
+        total = total + (value if c == R_ONE else value.scale(c))
     return total
 
 
@@ -448,12 +453,12 @@ def plain_char(lam, kappa) -> TowerElem:
 
 
 def _scalar(terms, den: int = 1) -> TowerElem:
-    """The sum of c * q^e over the (e, c) in terms, divided by den."""
+    """The sum of c * q^e over the integer (e, c) in terms, divided by den."""
     acc = {}
     for e, c in terms:
         acc[e] = acc.get(e, 0) + c
-    return TowerElem.from_scalar(RatFunc(LaurentPoly(
-        {e: Fraction(c, den) for e, c in acc.items() if c})))
+    p = _lowest({e: (c, 0) for e, c in acc.items() if c}, den)
+    return TowerElem.from_scalar(RatFunc.from_laurent(p))
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +623,39 @@ def table_rows(n: int):
 
 
 def char_table(n: int) -> CharTable:
+    """The character table of degree n from minimal-length representatives.
+
+    Every column representative has minimal length, so its class polynomial
+    is an indicator and each plain value is Ram's rule at the column's cycle
+    type.  A split row of shape lam, hook type h, halves that value and adds
+    half the twisted value: the closed-form unit u at the plus class of type
+    h, -u at its minus class s_r w+ s_r (the FLAT witness of that one step
+    is shorter than n - d and folds to zero), and zero at every other class.
+    """
     if n < 2:
         raise ValueError("character tables need degree at least 2")
     cols = tuple(alt_classes(n))
     rows = []
     for kind, lam in table_rows(n):
         if kind == "pair":  # the half sum of two plain values, in Z[q, q^-1]
-            cells = tuple(_scalar(_ram(lam, cc.cycle_type)
-                                  + _ram(conjugate(lam), cc.cycle_type), 2)
+            mu = conjugate(lam)
+            cells = tuple(_scalar(_ram(lam, cc.cycle_type) + _ram(mu, cc.cycle_type), 2)
                           for cc, _ in cols)
             rows.append(TableRow(kind, lam, cells))
         elif kind == "plus":  # both split rows at once; the minus row follows
-            plus, minus = zip(*(split_char_values(lam, rep) for _, rep in cols))
-            rows += [TableRow("plus", lam, plus), TableRow("minus", lam, minus)]
+            h, _ = diagonal_hooks(lam)
+            half_unit = _closed_value(lam, h, _sign("oracle")).scale(R_HALF)
+            plus, minus = [], []
+            for cc, _ in cols:
+                half = _scalar(_ram(lam, cc.cycle_type), 2)
+                if cc.cycle_type != h:
+                    plus.append(half)
+                    minus.append(half)
+                else:
+                    tw = half_unit if cc.alt_sign == "plus" else -half_unit
+                    plus.append(half + tw)
+                    minus.append(half - tw)
+            rows += [TableRow("plus", lam, tuple(plus)), TableRow("minus", lam, tuple(minus))]
     return CharTable(n, resolve_sigma(), cols, tuple(rows))
 
 

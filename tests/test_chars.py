@@ -1,5 +1,8 @@
+import cmath
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -19,6 +22,7 @@ from althecke.chars import (
     greene_identity,
     plain_char,
     resolve_sigma,
+    split_char_values,
     table_rows,
     technical_partner,
     twisted_char,
@@ -44,6 +48,7 @@ from althecke.scalars import (
     alpha_coeff,
     q_minus_qinv,
     qint,
+    specialize_numeric,
 )
 from althecke.specht import char_alt, char_T, twisted_trace
 from althecke.symgroup import (
@@ -430,6 +435,81 @@ def test_char_table_matches_oracle_table():
     for n in range(2, 8):
         table = char_table(n)
         assert [(row.kind, row.shape, row.cells) for row in table.rows] == _oracle_table(n)
+
+
+def test_char_table_split_rows_match_split_char_values():
+    # the recursion route is the reference where the matrix oracle stops
+    for n in range(2, 12):
+        table = char_table(n)
+        rows = iter(row for row in table.rows if row.kind != "pair")
+        for plus, minus in zip(rows, rows):
+            assert plus.kind == "plus" and minus.kind == "minus" and plus.shape == minus.shape
+            for (cc, rep), p_cell, m_cell in zip(table.columns, plus.cells, minus.cells):
+                assert (p_cell, m_cell) == split_char_values(plus.shape, rep), (n, plus.shape, cc)
+
+
+def test_char_table_reads_only_ram_and_the_closed_form(monkeypatch):
+    expected = char_table(9).to_json()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("char_table left Ram's rule and the closed form")
+
+    for name in ("split_char_values", "char_via_class_polys", "twisted_char",
+                 "_f_vector", "reduce_to_composition"):
+        monkeypatch.setattr(chars, name, forbidden)
+    assert char_table(9).to_json() == expected
+
+
+@lru_cache(maxsize=None)
+def _mn(beta: frozenset, kappa: tuple) -> int:
+    """Classical Murnaghan-Nakayama rule on a beta-set: remove a rim hook of
+    size kappa[0] by sliding one bead down, signed by the beads it passes."""
+    if not kappa:
+        return 1
+    r, total = kappa[0], 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            sign = -1 if sum(b - r < c < b for c in beta) % 2 else 1
+            total += sign * _mn(beta - {b} | {b - r}, kappa[1:])
+    return total
+
+
+def _classical_char(lam, kappa) -> int:
+    return _mn(frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam)), tuple(kappa))
+
+
+def test_char_table_at_q_one_matches_classical_values():
+    # pair rows: the half sum of the classical characters of lam and its
+    # conjugate; split rows: chi/2 off the hook class h, and the two values
+    # (eps + sqrt(eps * prod(h)))/2, eps = (-1)^((n-d)/2), swapped between
+    # the plus and minus classes of type h (James-Kerber 2.5.13)
+    for n in range(2, 13):
+        table = char_table(n)
+        rows = {(row.kind, row.shape): [specialize_numeric(c, 1) for c in row.cells]
+                for row in table.rows}
+        for (kind, lam), got in rows.items():
+            if kind == "pair":
+                for (cc, _), v in zip(table.columns, got):
+                    want = (_classical_char(lam, cc.cycle_type)
+                            + _classical_char(conjugate(lam), cc.cycle_type)) / 2
+                    assert abs(v - want) <= 1e-9, (n, lam, cc)
+            elif kind == "plus":
+                minus = rows["minus", lam]
+                h, d = diagonal_hooks(lam)
+                eps = -1 if (n - d) // 2 % 2 else 1
+                root = cmath.sqrt(eps * math.prod(h))
+                at_h = {}
+                for (cc, _), p, m in zip(table.columns, got, minus):
+                    if cc.cycle_type == h:
+                        at_h[cc.alt_sign] = (p, m)
+                    else:
+                        want = _classical_char(lam, cc.cycle_type) / 2
+                        assert abs(p - want) <= 1e-9 and abs(m - want) <= 1e-9, (n, lam, cc)
+                (p, m), (p_minus, m_minus) = at_h["plus"], at_h["minus"]
+                assert abs(p_minus - m) <= 1e-9 and abs(m_minus - p) <= 1e-9, (n, lam)
+                a, b = (eps + root) / 2, (eps - root) / 2
+                assert (max(abs(p - a), abs(m - b)) <= 1e-9
+                        or max(abs(p - b), abs(m - a)) <= 1e-9), (n, lam)
 
 
 def test_char_command_matches_split_oracle():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -35,6 +36,28 @@ def test_table_output_is_byte_stable():
     code2, out2 = run_cli(["table", "-n", "4"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# SHA-256 of the table bytes above the goldens (n <= 5) and the benchmark
+# refs (n <= 7), recorded before split cells were formed from Ram's rule and
+# the closed form alone
+TABLE_SHA256 = {
+    ("6", "json"): "c7fe803069cbddc7fbecc743eaf944b746ab1ebc8d881416e5f1526ba67e5738",
+    ("7", "json"): "80a964f322f81fbf7f9717be97efd940b3cb02712e3263217c888cfdcc227131",
+    ("8", "json"): "e81ea22ff1d646c05f98110ee55ef2be5179a52504271744d6b54861d8a7d188",
+    ("9", "json"): "1457474419672509b01f26dab47681c6b530b3659540cdbff72d962523d30307",
+    ("10", "json"): "43634bb839ba1f153234e59551e0f9958059cb3e4f3e48ebe3a3fd9435e0f8f0",
+    ("11", "json"): "986f4256a86199f0b5cdba51159a7ac9f96c25c8d459436ae1808af15f21de3a",
+    ("12", "json"): "78b29e696a3b476a40f90e82b534a5f0bb179c3aa637e8b893ae62478b4a0a04",
+    ("12", "csv"): "6f6161f9f6a878a2f8db436695180a32827d84a76f926424743a5d557308a5c1",
+}
+
+
+@pytest.mark.parametrize("n, fmt", list(TABLE_SHA256))
+def test_table_bytes_are_pinned(n, fmt):
+    code, out = run_cli(["table", "-n", n, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[n, fmt]
 
 
 def test_tau_char_pretty_value():
