@@ -78,7 +78,6 @@ from .scalars import (
     pretty_tower,
     q_minus_qinv,
     qint,
-    tower_from_obj,
     tower_to_obj,
 )
 from .symgroup import (
@@ -593,12 +592,12 @@ class CharTable(NamedTuple):
         return canonical_json(self.to_obj())
 
 
-def table_csv(obj: dict) -> str:
-    """The human-readable CSV form of a table document (``CharTable.to_obj``)."""
-    lines = ["character," + ",".join(_csv_quote(label) for label in obj["columns"])]
-    for row in obj["rows"]:
-        cells = ",".join(_csv_quote(pretty_tower(tower_from_obj(c))) for c in row["cells"])
-        lines.append(f"{_csv_quote(row['label'])},{cells}")
+def table_csv(table: CharTable) -> str:
+    """The human-readable CSV form of a character table."""
+    lines = ["character," + ",".join(_csv_quote(cc.label()) for cc, _ in table.columns)]
+    for row in table.rows:
+        cells = ",".join(_csv_quote(pretty_tower(v)) for v in row.cells)
+        lines.append(f"{_csv_quote(row.label())},{cells}")
     return "\n".join(lines) + "\n"
 
 

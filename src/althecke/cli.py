@@ -10,7 +10,8 @@ Subcommands::
     verify     run the identity/verification suites
 
 Output is canonical JSON (byte-identical across runs), or CSV for
-``table``.  Every value document carries the sign convention in its
+``table``, rendered from the same computed table; ``table`` keeps no
+on-disk state.  Every value document carries the sign convention in its
 metadata; only ``char`` and ``tau-char`` read ``--convention``.  Words and
 shapes are comma-separated and 1-based on the command line.
 """
@@ -18,10 +19,7 @@ shapes are comma-separated and 1-based on the command line.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-import tempfile
 from functools import lru_cache
 
 from .scalars import (
@@ -29,7 +27,6 @@ from .scalars import (
     canonical_json,
     pretty_tower,
     ratfunc_to_obj,
-    tower_from_obj,
     tower_to_obj,
 )
 from .combinat import (
@@ -42,7 +39,6 @@ from .combinat import (
 from .symgroup import (
     Drop2Step,
     all_permutations,
-    alt_classes,
     from_word,
     reduce_to_composition,
 )
@@ -55,7 +51,6 @@ from .chars import (
     resolve_sigma,
     split_char_values,
     table_csv,
-    table_rows,
     twisted_char,
 )
 from .verify import SUITES
@@ -84,76 +79,13 @@ def _value_obj(value, convention: str) -> dict:
     }
 
 
-def _cache_dir():
-    return os.environ.get("ALTHECKE_CACHE_DIR")
-
-
-def _load_cached_table(path: str, n: int):
-    """The table document stored at path, or None unless it is the canonical
-    table of degree n under the resolved sign and every cell loads."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        obj = json.loads(text)
-        columns = [cc.label() for cc, _ in alt_classes(n)]
-        ok = (text == canonical_json(obj)
-              and obj["n"] == n and obj["sigma"] == resolve_sigma()
-              and obj["convention"] == "oracle" and obj["columns"] == columns
-              and len(obj["rows"]) == len(table_rows(n))
-              and all(len(row["cells"]) == len(columns)
-                      and all(tower_to_obj(tower_from_obj(c)) == c for c in row["cells"])
-                      for row in obj["rows"]))
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
-    return obj if ok else None
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Replace the file at path in one step, so readers never see part of it."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _unusable_cache(cache: str, err: OSError):
-    sys.stderr.write(f"error: cache directory {cache} is unusable: {err}\n")
-    raise SystemExit(2)
-
-
-def _cached_table(n: int) -> dict:
-    """The table document of degree n, from the cache directory when it holds
-    a valid one; a missing or invalid cache file is recomputed and replaced."""
-    cache = _cache_dir()
-    if not cache:
-        return char_table(n).to_obj()
-    try:
-        os.makedirs(cache, exist_ok=True)
-    except OSError as err:
-        _unusable_cache(cache, err)
-    path = os.path.join(cache, f"table_n{n}.json")
-    obj = _load_cached_table(path, n)
-    if obj is None:
-        obj = char_table(n).to_obj()
-        try:
-            _write_atomic(path, canonical_json(obj))
-        except OSError as err:
-            _unusable_cache(cache, err)
-    return obj
-
-
 def cmd_table(args) -> int:
     _guard_n(args.n, args.force)
-    obj = _cached_table(args.n)
+    table = char_table(args.n)
     if args.format == "csv":
-        sys.stdout.write(table_csv(obj))
+        sys.stdout.write(table_csv(table))
     else:
-        _emit(obj)
+        _emit(table.to_obj())
     return 0
 
 
@@ -321,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help=f"override the n <= {DEFAULT_N_MAX} resource guard")
         if need_n:
-            p.add_argument("-n", type=int, required=True)
+            p.add_argument("-n", type=_nonnegative, required=True)
 
     p = sub.add_parser("table", help="full character table")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -460,6 +460,23 @@ def test_char_table_reads_only_ram_and_the_closed_form(monkeypatch):
     assert char_table(9).to_json() == expected
 
 
+def test_char_table_radicals_come_only_from_the_hook_columns():
+    # pair cells lie in Q(sqrt(-1))(q); a split row of hook type h adds the
+    # one monomial prod y_k (k in h, k >= 2), and only at the two classes of
+    # cycle type h (ROADMAP item 4, check 1, the radical part)
+    for n in range(2, 13):
+        table = char_table(n)
+        for row in table.rows:
+            if row.kind == "pair":
+                assert all(set(cell.terms) <= {frozenset()} for cell in row.cells), (n, row)
+                continue
+            h, _ = diagonal_hooks(row.shape)
+            radical = frozenset(k for k in h if k >= 2)
+            for (cc, _), cell in zip(table.columns, row.cells):
+                assert set(cell.terms) <= {frozenset(), radical}, (n, row.label(), cc)
+                assert (radical in cell.terms) == (cc.cycle_type == h), (n, row.label(), cc)
+
+
 @lru_cache(maxsize=None)
 def _mn(beta: frozenset, kappa: tuple) -> int:
     """Classical Murnaghan-Nakayama rule on a beta-set: remove a rim hook of

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from althecke.cli import main
+from althecke.scalars import canonical_json
 
 
 def run_cli(argv):
@@ -264,52 +265,37 @@ def test_usage_error_exits_nonzero():
     assert err.value.code != 0
 
 
-def test_cache_dir_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(tmp_path))
-    code1, out1 = run_cli(["table", "-n", "3"])
-    assert (tmp_path / "table_n3.json").exists()
-    code2, out2 = run_cli(["table", "-n", "3"])  # served from the cache file
-    assert out1 == out2
-
-
 def test_resource_guard_force_table_n13():
     code, out = run_cli(["table", "-n", "13", "--force"])
     assert code == 0
     assert len(json.loads(out)["rows"]) == 55
 
 
-def test_cache_dir_below_regular_file_exits_cleanly(tmp_path, monkeypatch, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(blocker / "sub"))
-    with pytest.raises(SystemExit) as err:
-        run_cli(["table", "-n", "3"])
-    assert err.value.code == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: cache directory ")
-
-
-def test_cache_corrupt_file_is_recomputed(tmp_path, monkeypatch, goldens):
+def test_table_ignores_a_cache_dir(tmp_path, monkeypatch, goldens):
+    # a canonical table_n5.json with the cells of [5] and [4,1] swapped is
+    # neither served nor replaced: table keeps no on-disk state
+    golden = (goldens / "table_n5.json").read_text()
+    doc = json.loads(golden)
+    rows = doc["rows"]
+    assert [row["label"] for row in rows[:2]] == ["[5]", "[4,1]"]
+    rows[0]["cells"], rows[1]["cells"] = rows[1]["cells"], rows[0]["cells"]
+    stale = tmp_path / "table_n5.json"
+    stale.write_text(canonical_json(doc))
+    before = stale.read_bytes()
     monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(tmp_path))
-    golden = (goldens / "table_n3.json").read_text()
-    cached = tmp_path / "table_n3.json"
-    cached.write_text(golden[: len(golden) // 2])  # a write cut short
-    code, out = run_cli(["table", "-n", "3", "--format", "csv"])
-    assert code == 0
-    assert out == (goldens / "table_n3.csv").read_text()
-    assert cached.read_text() + "\n" == golden  # replaced by the full table
-    code, out = run_cli(["table", "-n", "3"])
+    code, out = run_cli(["table", "-n", "5"])
     assert code == 0 and out == golden
+    assert list(tmp_path.iterdir()) == [stale] and stale.read_bytes() == before
 
 
-def test_cache_wrong_degree_file_is_recomputed(tmp_path, monkeypatch, goldens):
-    monkeypatch.setenv("ALTHECKE_CACHE_DIR", str(tmp_path))
-    cached = tmp_path / "table_n3.json"
-    cached.write_text((goldens / "table_n4.json").read_text().rstrip("\n"))
-    code, out = run_cli(["table", "-n", "3"])
-    assert code == 0
-    assert out == (goldens / "table_n3.json").read_text()
-    assert json.loads(cached.read_text())["n"] == 3
+@pytest.mark.parametrize("n", ["-1", "-3"])
+@pytest.mark.parametrize("command", ["classpoly", "basis"])
+def test_negative_degree_is_a_usage_error(command, n, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli([command, "-n", n])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: ") and "argument -n: must not be negative" in err_text
 
 
 def test_shared_parser_keeps_no_state_between_calls():
