@@ -47,9 +47,11 @@ values read :mod:`althecke.hecke`; the matrix traces of
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, permutations as iter_permutations
-from math import comb
+from collections import Counter
+from functools import lru_cache, reduce
+from itertools import combinations, permutations as iter_permutations, product
+from math import comb, prod
+from operator import mul
 from typing import NamedTuple
 
 from .combinat import (
@@ -66,6 +68,7 @@ from .combinat import (
 from .hecke import NotAlternatingError, b_elem
 from .scalars import (
     GaussianRational,
+    LaurentPoly,
     R_HALF,
     R_ONE,
     R_ZERO,
@@ -78,6 +81,7 @@ from .scalars import (
     pretty_tower,
     q_minus_qinv,
     qint,
+    qint_laurent,
     tower_to_obj,
 )
 from .symgroup import (
@@ -681,6 +685,38 @@ def _linear_extensions(less_pairs, size):
     return out
 
 
+def _bracket_sum(terms) -> RatFunc:
+    """sum(sign * q^(2*top) / prod([g] for g in gaps)) over (sign, top, gaps).
+
+    [1] = q and [-k] = -q^(-2k)[k] are units times brackets, so each term is
+    a signed q-power over brackets [k], k >= 2.  Over the common denominator
+    prod([k]^m_k), m_k the most factors [k] in one term, each numerator is a
+    q-power times the missing brackets: Laurent products only, and one
+    reduction of the whole sum.
+    """
+    most = Counter()  # bracket -> most factors of it in one term
+    by_brackets = {}  # sorted brackets -> {q-exponent: coefficient}
+    for sign, top, gaps in terms:
+        exp, ks = 2 * top, []
+        for g in gaps:
+            if not g:
+                raise ZeroDivisionError("q-bracket [0] in a denominator")
+            if g < 0:
+                sign, exp = -sign, exp - 2 * g
+            if g in (1, -1):
+                exp -= 1
+            else:
+                ks.append(abs(g))
+        most |= Counter(ks)
+        mono = by_brackets.setdefault(tuple(sorted(ks)), {})
+        mono[exp] = mono.get(exp, 0) + sign
+    num = LaurentPoly.zero()
+    for ks, mono in by_brackets.items():
+        part = _lowest({e: (c, 0) for e, c in mono.items() if c}, 1)
+        num = num + reduce(mul, map(qint_laurent, (most - Counter(ks)).elements()), part)
+    return RatFunc(num, reduce(mul, map(qint_laurent, most.elements()), LaurentPoly.one()))
+
+
 def greene_identity(rels, contents):
     """Both sides of the linearisation sum identity on a semilinear poset.
 
@@ -689,7 +725,9 @@ def greene_identity(rels, contents):
     must keep Hasse edges between consecutive indices, which this encoding
     enforces by construction).  Returns (lhs, rhs): the sum over linear
     extensions of q^(2*c_last) over the product of content-gap brackets,
-    and the closed right-hand side carrying the poset sign.
+    formed over one common denominator by :func:`_bracket_sum`, and the
+    closed right-hand side carrying the poset sign, divided bracket by
+    bracket, so the two sides take independent routes.
     """
     rels = tuple(rels)
     contents = tuple(contents)
@@ -700,28 +738,10 @@ def greene_identity(rels, contents):
         raise DegenerateContentsError("contents must be pairwise distinct")
     order = [(a, b) for a in range(m + 1) for b in range(m + 1)
              if a != b and _poset_less(rels, a, b)]
-    by_den = {}
-    for seq in _linear_extensions(order, m + 1):
-        term = RatFunc.q_power(2 * contents[seq[m]])
-        for i in range(m):
-            gap = contents[seq[i + 1]] - contents[seq[i]]
-            term = term / qint(gap)
-        cur = by_den.get(term.den)
-        by_den[term.den] = term.num if cur is None else cur + term.num
-    def den_key(p):
-        return tuple((e, g.re.numerator, g.re.denominator, g.im.numerator,
-                      g.im.denominator) for e, g in p.items())
-
-    groups = [RatFunc(num, den) for den, num in
-              sorted(by_den.items(), key=lambda kv: den_key(kv[0]))]
-    # balanced fold keeps the intermediate denominators comparable in size
-    while len(groups) > 1:
-        groups = [groups[i] + groups[i + 1] if i + 1 < len(groups) else groups[i]
-                  for i in range(0, len(groups), 2)]
-    lhs = groups[0] if groups else R_ZERO
-    eps = 1
-    for r in rels:
-        eps *= r
+    lhs = _bracket_sum(
+        (1, contents[seq[m]], [contents[seq[i + 1]] - contents[seq[i]] for i in range(m)])
+        for seq in _linear_extensions(order, m + 1))
+    eps = prod(rels)
     rhs = R_ZERO
     if eps:
         rhs = RatFunc.q_power(2 * contents[m]) * eps
@@ -734,20 +754,16 @@ def cute_identity(m: int):
     """Both sides of the signed hook-content sum over 2^m sign sequences.
 
     The left side sums over sign vectors (1, e_1, .., e_m) with contents
-    c(i) = e_i * i; the right side is q^(-m) * prod([2i]/[2i-1])."""
+    c(i) = e_i * i, over one common denominator by :func:`_bracket_sum`;
+    the right side is q^(-m) * prod([2i]/[2i-1]), divided bracket by
+    bracket."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lhs = R_ZERO
-    for bits in range(1 << m):
-        signs = [1] + [1 if bits & (1 << i) else -1 for i in range(m)]
-        c = [signs[i] * i for i in range(m + 1)]
-        eps = 1
-        for s in signs:
-            eps *= s
-        term = RatFunc.q_power(2 * c[m]) * eps
-        for i in range(m):
-            term = term / qint(c[i + 1] - c[i])
-        lhs = lhs + term
+    terms = []
+    for signs in product((1, -1), repeat=m):
+        c = [0] + [s * i for i, s in enumerate(signs, 1)]
+        terms.append((prod(signs), c[m], [c[i + 1] - c[i] for i in range(m)]))
+    lhs = _bracket_sum(terms)
     rhs = RatFunc.q_power(-m)
     for i in range(1, m + 1):
         rhs = rhs * qint(2 * i) / qint(2 * i - 1)
@@ -793,10 +809,10 @@ def _gamma_block(t, kappa, z) -> TowerElem:
     """Product of the local factors belonging to the z-th cycle block."""
     k_z = sum(kappa[:z - 1]) + 1
     top = k_z + kappa[z - 1] - 1
-    prod = TowerElem.one()
+    acc = TowerElem.one()
     for _i, _tag, val in _gamma_factors(t, range(k_z, top)):
-        prod = prod * val
-    return prod
+        acc = acc * val
+    return acc
 
 
 def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
@@ -807,8 +823,8 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
     that ranking the block diagonal cells by entry is a bijection onto the
     linear extensions of the cell poset, and that the class sum of block
     factors equals the closed product (poset sign, top content power, the
-    off-diagonal coefficients, and the content-gap brackets), under the
-    globally resolved sign convention.
+    off-diagonal coefficients, and the content-gap brackets), at the
+    oracle's sign sigma = +1.
     """
     lam = tuple(lam)
     kappa = tuple(kappa)
@@ -823,7 +839,6 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
         return EquivClassReport(lam, kappa, z, (kappa[z - 1] - 1) // 2, 0, (),
                                 True, True, (), True, "no transposable tableaux")
     m_z = (kappa[z - 1] - 1) // 2
-    sigma = resolve_sigma()
 
     classes = {}
     for t in tabs:
@@ -857,15 +872,9 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
                   if not any((a, k) in less and (k, b) in less for k in range(size))]
         if any(abs(a - b) != 1 for a, b in covers):
             raise AssertionError("content order is not a semilinear labelling")
-        eps_x = 1
-        for i in range(size - 1):
-            if (i, i + 1) in covers:
-                step = 1
-            elif (i + 1, i) in covers:
-                step = -1
-            else:
-                step = 0
-            eps_x *= step
+        # each consecutive pair covers up (+1), down (-1) or not at all (0)
+        eps_x = prod(((i, i + 1) in covers) - ((i + 1, i) in covers)
+                     for i in range(size - 1))
         eps_values.append(eps_x)
         sizes.append(len(members))
 
@@ -884,23 +893,14 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
         total = TowerElem.zero()
         for t in members:
             total = total + _gamma_block(t, kappa, z)
-        eps_class = 1
-        for s in sign_prod:
-            eps_class *= s
-        if eps_x == 0:
-            expected = TowerElem.zero()
-        else:
-            c_class = [sign_prod[i] * contents[i] for i in range(size)]
-            scalar = RatFunc.q_power(2 * c_class[m_z]) * (eps_class * eps_x)
-            if sigma < 0 and m_z % 2:
-                scalar = -scalar
-            for i in range(m_z):
-                scalar = scalar / qint(c_class[i + 1] - c_class[i])
-            expected = TowerElem.from_scalar(scalar)
-            for rc in x_cells:
-                cont = rc[1] - rc[0]
-                if cont:
-                    expected = expected * alpha_coeff(2 * cont)
+        c_class = [sign_prod[i] * contents[i] for i in range(size)]
+        gaps = [c_class[i + 1] - c_class[i] for i in range(m_z)]
+        expected = TowerElem.from_scalar(
+            _bracket_sum([(prod(sign_prod) * eps_x, c_class[m_z], gaps)]))
+        for rc in x_cells:
+            cont = rc[1] - rc[0]
+            if cont:
+                expected = expected * alpha_coeff(2 * cont)
         if total != expected:
             sums_ok = False
 

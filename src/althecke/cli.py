@@ -95,8 +95,9 @@ def cmd_char(args) -> int:
     _guard_n(n, args.force)
     word = parse_word(args.word)
     w = from_word(word, n)
+    # in degree <= 1 the involution is trivial and nothing splits
     split = (split_char_values(lam, w, convention=args.convention)
-             if w.is_even() and is_self_conjugate(lam) else None)
+             if n >= 2 and w.is_even() and is_self_conjugate(lam) else None)
     # the split values sum to the plain one: each distinct shape once
     value = split[0] + split[1] if split else char_via_class_polys(lam, w)
     doc = {

@@ -733,19 +733,12 @@ def _rf_add(a: RatFunc, b: RatFunc, sign: int) -> RatFunc:
     num = a.num * d2r + bn * d1r
     if not num:
         return R_ZERO
-    den = d1r * d2
-    # common factors of the sum all divide the denominator overlap; peel
-    # them off while they also still divide the shrinking denominator
-    while not g.is_one():
-        h = _val0_gcd(num, g)
-        if h.is_one():
-            break
-        h = _val0_gcd(h, den)
-        if h.is_one():
-            break
+    # reduced inputs: gcd(num, den) = gcd(num, g), a divisor of d2 (Knuth, TAOCP 2, 4.5.1)
+    h = _val0_gcd(num, g)
+    if not h.is_one():
         num = _laurent_exact_div(num, h)
-        den = _poly_exact_div(den, h)
-        g = h
+        d2 = _poly_exact_div(d2, h)
+    den = d1r * d2
     if den.is_monomial():
         return RatFunc._make(num, L_ONE)
     return RatFunc._make(num, den)

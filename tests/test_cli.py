@@ -20,10 +20,11 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
-def test_table_json_matches_golden(goldens):
-    code, out = run_cli(["table", "-n", "3"])
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_table_json_matches_golden(goldens, n):
+    code, out = run_cli(["table", "-n", n])
     assert code == 0
-    assert out == (goldens / "table_n3.json").read_text()
+    assert out == (goldens / f"table_n{n}.json").read_text()
 
 
 def test_table_csv_matches_golden(goldens):
@@ -96,6 +97,16 @@ def test_char_command():
     doc = json.loads(out)
     assert doc["hecke_char_pretty"] == "-1"
     assert set(doc["split"]) == {"plus", "minus"}
+
+
+@pytest.mark.parametrize("shape", ["1", ""])
+def test_char_does_not_split_below_degree_two(shape):
+    # the involution is trivial there: a split would pair 1 with the zero module
+    code, out = run_cli(["char", "--shape", shape, "--word", ""])
+    assert code == 0
+    doc = json.loads(out)
+    assert "split" not in doc
+    assert doc["hecke_char_pretty"] == "1"
 
 
 def test_classpoly_command():

@@ -154,6 +154,14 @@ def test_nonreal_common_factor_cancels():
                                  "den": [[0, 3, 1, 0, 1], [1, 1, 1, 0, 1]]}
 
 
+def test_sum_cancels_part_of_a_shared_squared_factor():
+    q1, q2, q3 = (LaurentPoly({1: 1, 0: c}) for c in (1, 2, 3))
+    s = RatFunc(1, q1 * q1 * q2) - RatFunc(2, q1 * q1 * q3)
+    assert s == RatFunc(-1, q1 * q2 * q3)
+    unreduced = RatFunc(q3 - q2 - q2, q1 * q1 * q2 * q3)
+    assert ratfunc_to_obj(s) == ratfunc_to_obj(unreduced)
+
+
 def test_mixed_denominators_serialize():
     r = RatFunc(Fraction(1, 2)) + RatFunc.q_power(1) * RatFunc(Fraction(1, 3))
     assert ratfunc_to_obj(r) == {"num": [[0, 1, 2, 0, 1], [1, 1, 3, 0, 1]],
