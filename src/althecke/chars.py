@@ -33,30 +33,34 @@ self-conjugate shapes of the degree at once.
 
 Character tables, single values and class polynomials touch neither a
 matrix nor a Hecke-algebra element.  A plain value at a minimal-length
-representative comes from Ram's broken-border-strip rule
-(:func:`plain_char`), at any other permutation through the class
-polynomials; a twisted value is the closed-form unit scaled by its twisted
-class polynomial.  :func:`char_table` reads only Ram's rule and the closed
-form: its columns are minimal-length representatives, where the class
-polynomial is an indicator and the twisted class polynomial is +-1 at the
-hook class and zero elsewhere, so no recursion or conjugation search runs,
-and its cells are formed over integer coefficients.  Only the B-basis split
-values read :mod:`althecke.hecke`; the matrix traces of
-:mod:`althecke.specht` only check these routes.
+representative comes from Ram's broken-border-strip rule run forward, one
+strip per part from the empty shape (:func:`_ram_columns`), and at any other
+permutation through the class polynomials; a twisted value is the
+closed-form unit scaled by its twisted class polynomial.  :func:`char_table`
+reads only Ram's rule and the closed form: its columns are minimal-length
+representatives, where the class polynomial is an indicator and the twisted
+class polynomial is +-1 at the hook class and zero elsewhere, so no
+recursion or conjugation search runs.  It walks the column cycle types as a
+trie, forms each column's cells over integer coefficients as its leaf is
+reached, and keeps no cache; :func:`plain_char` runs the same pass for one
+cycle type, bounded by its shape.  Only the B-basis split values read
+:mod:`althecke.hecke`; the matrix traces of :mod:`althecke.specht` only
+check these routes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, permutations as iter_permutations, product
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import mul
 from typing import NamedTuple
 
 from .combinat import (
     NotSymmetricError,
     conjugate,
+    contains,
     diagonal_hooks,
     eps_kappa,
     is_w_transposable,
@@ -152,22 +156,14 @@ def gamma_of_tableau(t, kappa):
     if not is_w_transposable(t, kappa):
         return None
     factors = _gamma_factors(t, increasing_word(kappa))
-    product = TowerElem.one()
-    for _i, _tag, val in factors:
-        product = product * val
-    return GammaReport(t, tuple(factors), product)
+    return GammaReport(t, tuple(factors), reduce(mul, (v for _, _, v in factors), TowerElem.one()))
 
 
 def twisted_char_by_tableaux(lam, kappa) -> TowerElem:
     """Twisted character at the canonical permutation of a composition,
     summed over transposable tableaux of the shape."""
-    lam = tuple(lam)
-    total = TowerElem.zero()
-    for t in std_tableaux(lam):
-        report = gamma_of_tableau(t, kappa)
-        if report is not None:
-            total = total + report.product
-    return total
+    reports = (gamma_of_tableau(t, kappa) for t in std_tableaux(tuple(lam)))
+    return sum((report.product for report in reports if report), TowerElem.zero())
 
 
 def technical_partner(t, kappa):
@@ -321,10 +317,7 @@ def delta_coefficients(r: RatFunc):
         if g.im or g.re.denominator != 1:
             return None
         out[dtop] = int(g.re)
-        power = R_ONE.num
-        for _ in range(dtop):
-            power = power * delta
-        p = p - power.scale(g)
+        p = p - reduce(mul, [delta] * dtop, R_ONE.num).scale(g)
         if not p.is_zero() and p.degree() >= dtop:
             return None
     return out
@@ -372,11 +365,12 @@ def class_polys(w: Permutation) -> ClassPolyTable:
 
 def char_via_class_polys(lam, w: Permutation) -> TowerElem:
     """Character value at any permutation: the class polynomials of w times
-    the values at minimal-length class representatives."""
-    total = TowerElem.zero()
-    for ctype, c in _f_vector(w):
-        value = plain_char(lam, ctype)
-        total = total + (value if c == R_ONE else value.scale(c))
+    the values at minimal-length class representatives, from one forward
+    pass of Ram's rule over their cycle types, bounded by lam."""
+    lam, coeffs, total = tuple(lam), dict(_f_vector(w)), TowerElem.zero()
+    for ctype, value in _ram_columns(coeffs, lam):
+        c = coeffs[ctype]
+        total = total + (value(1, lam) if c == R_ONE else value(1, lam).scale(c))
     return total
 
 
@@ -384,84 +378,87 @@ def char_via_class_polys(lam, w: Permutation) -> TowerElem:
 # Plain characters at minimal-length class representatives
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _broken_strips(lam: tuple, r: int) -> tuple:
-    """Every (nu, rows, links) with lam/nu a broken border strip of size r.
-
-    A skew shape lam/nu has no 2x2 block iff nu_i >= lam_(i+1) - 1 in every
-    row.  ``rows`` counts its non-empty rows and ``links`` the adjacent rows
-    that share a column (nu_i < lam_(i+1)), so it has rows - links
-    edge-connected components.
-    """
-    below = lam[1:] + (0,)
-    room = [0] * (len(lam) + 1)  # the most cells rows i, i+1, ... can give up
-    for i in range(len(lam) - 1, -1, -1):
-        room[i] = room[i + 1] + lam[i] - max(below[i] - 1, 0)
+def _strips(nu: tuple, r: int, base: int) -> list:
+    """(lam, weight) for each broken border strip lam/nu of size r: no 2x2
+    block, so lam_i <= nu_(i-1) + 1 in every row i > 1.  Of its non-empty
+    rows, ``links`` share a column with the row above (nu_(i-1) < lam_i), so
+    it has cc = rows - links components and height ht = links; Ram's weight
+    (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1), T'_i = q T_i and Q = q^2, is at base."""
+    old = nu + (0,) * r
+    above = (old[0] + r,) + old  # nu_(i-1) over row i; row 0 may take all r cells
     out = []
 
-    def walk(i, prev, left, nu, rows, links):
-        if i == len(lam):
-            out.append((tuple(p for p in nu if p), rows, links))
-            return
-        for v in range(min(lam[i], prev), max(below[i] - 1, 0) - 1, -1):
-            cut = lam[i] - v
-            if cut > left:
-                break
-            if left - cut <= room[i + 1]:
-                walk(i + 1, v, left - cut, nu + (v,), rows + (cut > 0),
-                     links + (v < below[i]))
+    def walk(i, prev, left, lam, rows, links):
+        lo = old[i]
+        for v in range(max(lo, 1), min(prev, above[i] + 1, lo + left) + 1):
+            rest, n_rows, n_links = left - v + lo, rows + (v > lo), links + (v > above[i])
+            if rest:
+                walk(i + 1, v, rest, lam + (v,), n_rows, n_links)
+            else:
+                weight = base ** (r - n_rows) * (base - 1) ** (n_rows - n_links - 1)
+                out.append((lam + (v,) + nu[i + 1:], -weight if n_links % 2 else weight))
 
-    if r <= room[0]:
-        walk(0, lam[0], r, (), 0, 0)
-    return tuple(out)
+    walk(0, above[0], r, (), 0, 0)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _ram(lam: tuple, kappa: tuple) -> tuple:
-    """Ram's rule: the value of shape lam at w_kappa as ((exp, int), ...) in q.
+def _ram_columns(types, bound=None):
+    """Ram's rule forward: (kappa, value) for each cycle type kappa in
+    ``types``, where value(den, *shapes) is the sum of the shapes' values at
+    w_kappa divided by den.
 
-    Removing a broken border strip of size r = kappa[-1] with cc components
-    and height ht = rows - cc weighs (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1) for
-    T'_i = q T_i and Q = q^2; the factor q^-(r-1) converts to T_i.
+    From {(): 1}, each part r of kappa, largest first, adds every broken
+    border strip of size r times its weight, and q^-(r-1) turns T'_i into
+    T_i.  The sorted types are walked as a trie: a shared prefix is grown
+    once, only the states along the current path are kept, and the strips
+    of a shape are listed once per call.  Shapes outside ``bound`` drop out.
+    A polynomial in Q is held as its value at Q = 2^bits: the absolute
+    coefficients of two values sum to less than n! 2^(n+1) (at most n! strip
+    sequences each, of norm at most 2^(n-1)), so balanced digits read it back.
     """
-    if not kappa:
-        return ((0, 1),)
-    r = kappa[-1]
-    acc = {}
-    for nu, rows, links in _broken_strips(lam, r):
-        cc = rows - links
-        shift = 2 * (r - rows) - (r - 1)
-        sign = -1 if links % 2 else 1
-        rest = _ram(nu, kappa[:-1])
-        for j in range(cc):  # expand (Q - 1)^(cc - 1)
-            c = sign * comb(cc - 1, j) * (-1 if (cc - 1 - j) % 2 else 1)
-            for e, v in rest:
-                key = shift + 2 * j + e
-                acc[key] = acc.get(key, 0) + c * v
-    return tuple(sorted((e, v) for e, v in acc.items() if v))
+    n = max(map(sum, types))
+    bits = (factorial(n) << (n + 1)).bit_length() + 1
+    trail, strips = [((), {(): 1})], {}  # (prefix, {shape: value}) down the trie
+    for kappa in sorted(set(types)):
+        while kappa[:len(trail[-1][0])] != trail[-1][0]:
+            trail.pop()
+        for r in kappa[len(trail[-1][0]):]:
+            prefix, shapes = trail[-1]
+            grown = {}
+            for nu, x in shapes.items():
+                if (nu, r) not in strips:
+                    strips[nu, r] = _strips(nu, r, 1 << bits)
+                for lam, weight in strips[nu, r]:
+                    if bound is None or contains(bound, lam):
+                        grown[lam] = grown.get(lam, 0) + x * weight
+            trail.append((prefix + (r,), grown))
+        yield kappa, partial(_read, trail[-1][1], bits, len(kappa) - sum(kappa))
+
+
+def _read(values: dict, bits: int, e: int, den: int, *shapes) -> TowerElem:
+    """The shapes' values summed, sum(c_k 2^(bits k)), as sum(c_k q^(e+2k)) / den."""
+    x, half, acc = sum(values.get(lam, 0) for lam in shapes), 1 << (bits - 1), {}
+    while x:
+        x, c = divmod(x + half, 2 * half)
+        if c != half:
+            acc[e] = (c - half, 0)
+        e += 2
+    return TowerElem.from_scalar(RatFunc.from_laurent(_lowest(acc, den)))
 
 
 def plain_char(lam, kappa) -> TowerElem:
     """Character of shape lam at the canonical permutation of a composition.
 
     Minimal-length elements of one conjugacy class share their character
-    values, so the composition is sorted before Ram's broken-border-strip
-    rule evaluates it.
-    """
+    values, so the composition is sorted, and Ram's broken-border-strip rule
+    runs forward over its parts with lam as the bound: only shapes inside
+    lam are grown."""
     lam = tuple(lam)
     kappa = tuple(sorted(kappa, reverse=True))
     if sum(lam) != sum(kappa):
         raise ValueError(f"shape {lam} and class {kappa} have different sizes")
-    return _scalar(_ram(lam, kappa))
-
-
-def _scalar(terms, den: int = 1) -> TowerElem:
-    """The sum of c * q^e over the integer (e, c) in terms, divided by den."""
-    acc = {}
-    for e, c in terms:
-        acc[e] = acc.get(e, 0) + c
-    p = _lowest({e: (c, 0) for e, c in acc.items() if c}, den)
-    return TowerElem.from_scalar(RatFunc.from_laurent(p))
+    (_, value), = _ram_columns([kappa], lam)
+    return value(1, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -629,37 +626,38 @@ def char_table(n: int) -> CharTable:
     """The character table of degree n from minimal-length representatives.
 
     Every column representative has minimal length, so its class polynomial
-    is an indicator and each plain value is Ram's rule at the column's cycle
-    type.  A split row of shape lam, hook type h, halves that value and adds
-    half the twisted value: the closed-form unit u at the plus class of type
-    h, -u at its minus class s_r w+ s_r (the FLAT witness of that one step
-    is shorter than n - d and folds to zero), and zero at every other class.
-    """
+    is an indicator and its plain values are Ram's rule at its cycle type,
+    read as one forward pass over all the types reaches it.  A split row of
+    shape lam, hook type h, halves that value and adds half the twisted
+    value: the closed-form unit u at the plus class of type h, -u at its
+    minus class s_r w+ s_r (the FLAT witness of that one step is shorter
+    than n - d and folds to zero), and zero at every other class."""
     if n < 2:
         raise ValueError("character tables need degree at least 2")
     cols = tuple(alt_classes(n))
-    rows = []
-    for kind, lam in table_rows(n):
-        if kind == "pair":  # the half sum of two plain values, in Z[q, q^-1]
-            mu = conjugate(lam)
-            cells = tuple(_scalar(_ram(lam, cc.cycle_type) + _ram(mu, cc.cycle_type), 2)
-                          for cc, _ in cols)
-            rows.append(TableRow(kind, lam, cells))
-        elif kind == "plus":  # both split rows at once; the minus row follows
-            h, _ = diagonal_hooks(lam)
-            half_unit = _closed_value(lam, h, _sign("oracle")).scale(R_HALF)
-            plus, minus = [], []
-            for cc, _ in cols:
-                half = _scalar(_ram(lam, cc.cycle_type), 2)
-                if cc.cycle_type != h:
-                    plus.append(half)
-                    minus.append(half)
+    at = {}  # cycle type -> the indices of its columns
+    for j, (cc, _) in enumerate(cols):
+        at.setdefault(cc.cycle_type, []).append(j)
+    plan = table_rows(n)
+    cells = {row: [None] * len(cols) for row in plan}
+    pairs = [(lam, conjugate(lam)) for kind, lam in plan if kind == "pair"]
+    splits = [(lam, h, _closed_value(lam, h, _sign("oracle")).scale(R_HALF))
+              for kind, lam in plan if kind == "plus" for h in [diagonal_hooks(lam)[0]]]
+    for kappa, value in _ram_columns(at):
+        for lam, mu in pairs:  # the half sum of two plain values, in Z[q, q^-1]
+            cell = value(2, lam, mu)
+            for j in at[kappa]:
+                cells["pair", lam][j] = cell
+        for lam, h, half_unit in splits:  # both split rows of lam at once
+            half = value(2, lam)
+            for j in at[kappa]:
+                if kappa == h:
+                    tw = half_unit if cols[j][0].alt_sign == "plus" else -half_unit
+                    cells["plus", lam][j], cells["minus", lam][j] = half + tw, half - tw
                 else:
-                    tw = half_unit if cc.alt_sign == "plus" else -half_unit
-                    plus.append(half + tw)
-                    minus.append(half - tw)
-            rows += [TableRow("plus", lam, tuple(plus)), TableRow("minus", lam, tuple(minus))]
-    return CharTable(n, resolve_sigma(), cols, tuple(rows))
+                    cells["plus", lam][j] = cells["minus", lam][j] = half
+    rows = tuple(TableRow(kind, lam, tuple(cells[kind, lam])) for kind, lam in plan)
+    return CharTable(n, resolve_sigma(), cols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +807,7 @@ def _gamma_block(t, kappa, z) -> TowerElem:
     """Product of the local factors belonging to the z-th cycle block."""
     k_z = sum(kappa[:z - 1]) + 1
     top = k_z + kappa[z - 1] - 1
-    acc = TowerElem.one()
-    for _i, _tag, val in _gamma_factors(t, range(k_z, top)):
-        acc = acc * val
-    return acc
+    return reduce(mul, (v for _, _, v in _gamma_factors(t, range(k_z, top))), TowerElem.one())
 
 
 def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
@@ -890,9 +885,7 @@ def equiv_class_check(lam, kappa, z: int) -> EquivClassReport:
         if len(ranks) != len(members) or set(map(tuple, exts)) != ranks:
             bijections_ok = False
 
-        total = TowerElem.zero()
-        for t in members:
-            total = total + _gamma_block(t, kappa, z)
+        total = sum((_gamma_block(t, kappa, z) for t in members), TowerElem.zero())
         c_class = [sign_prod[i] * contents[i] for i in range(size)]
         gaps = [c_class[i + 1] - c_class[i] for i in range(m_z)]
         expected = TowerElem.from_scalar(

@@ -356,18 +356,25 @@ def eps_kappa(kappa) -> int:
     return -1 if inv % 2 else 1
 
 
+def _integers(text: str, what: str) -> tuple:
+    out = []
+    for token in text.split(",") if text.strip() else ():
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ValueError(f"{what} {text!r}: {token!r} is not an integer") from None
+    return tuple(out)
+
+
 def parse_word(text: str) -> tuple:
     """The integers of a comma-separated list; blank text is empty."""
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.split(","))
+    return _integers(text, "word")
 
 
 def parse_partition(text: str) -> tuple:
-    """A comma-separated partition; ValueError unless every part is
-    positive and no part exceeds the one before it."""
-    lam = parse_word(text)
+    """A comma-separated partition; ValueError unless every part is an
+    integer, positive and no larger than the one before it."""
+    lam = _integers(text, "shape")
     if any(p <= 0 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError(f"shape {text!r} is not a partition: parts must be "
                          f"positive and weakly decreasing")

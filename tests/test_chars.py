@@ -42,6 +42,7 @@ from althecke.combinat import (
 from althecke.hecke import HeckeElem, a_elem, b_in_a, expand_in_a, t_in_b
 from althecke.scalars import (
     GaussianRational,
+    LaurentPoly,
     RatFunc,
     TowerElem,
     _add_term,
@@ -412,6 +413,90 @@ def test_plain_char_matches_matrix_oracle():
             for kappa in kappas:
                 assert plain_char(lam, kappa) == char_T(lam, w_of_composition(kappa)), \
                     (lam, kappa)
+
+
+# Ram's rule top-down, removing one broken border strip per part from the
+# shape: an independent reference for the forward pass of chars._ram_columns
+
+
+@lru_cache(maxsize=None)
+def _broken_strips(lam: tuple, r: int) -> tuple:
+    """Every (nu, rows, links) with lam/nu a broken border strip of size r.
+
+    A skew shape lam/nu has no 2x2 block iff nu_i >= lam_(i+1) - 1 in every
+    row.  ``rows`` counts its non-empty rows and ``links`` the adjacent rows
+    that share a column (nu_i < lam_(i+1)), so it has rows - links
+    edge-connected components.
+    """
+    below = lam[1:] + (0,)
+    room = [0] * (len(lam) + 1)  # the most cells rows i, i+1, ... can give up
+    for i in range(len(lam) - 1, -1, -1):
+        room[i] = room[i + 1] + lam[i] - max(below[i] - 1, 0)
+    out = []
+
+    def walk(i, prev, left, nu, rows, links):
+        if i == len(lam):
+            out.append((tuple(p for p in nu if p), rows, links))
+            return
+        for v in range(min(lam[i], prev), max(below[i] - 1, 0) - 1, -1):
+            cut = lam[i] - v
+            if cut > left:
+                break
+            if left - cut <= room[i + 1]:
+                walk(i + 1, v, left - cut, nu + (v,), rows + (cut > 0),
+                     links + (v < below[i]))
+
+    if r <= room[0]:
+        walk(0, lam[0], r, (), 0, 0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _ram_by_removal(lam: tuple, kappa: tuple) -> tuple:
+    """The value of shape lam at w_kappa as ((exp, int), ...) in q.
+
+    Removing a broken border strip of size r = kappa[-1] with cc components
+    and height ht = rows - cc weighs (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1) for
+    T'_i = q T_i and Q = q^2; the factor q^-(r-1) converts to T_i.
+    """
+    if not kappa:
+        return ((0, 1),)
+    r = kappa[-1]
+    acc = {}
+    for nu, rows, links in _broken_strips(lam, r):
+        cc = rows - links
+        shift = 2 * (r - rows) - (r - 1)
+        sign = -1 if links % 2 else 1
+        rest = _ram_by_removal(nu, kappa[:-1])
+        for j in range(cc):  # expand (Q - 1)^(cc - 1)
+            c = sign * math.comb(cc - 1, j) * (-1 if (cc - 1 - j) % 2 else 1)
+            for e, v in rest:
+                key = shift + 2 * j + e
+                acc[key] = acc.get(key, 0) + c * v
+    return tuple(sorted((e, v) for e, v in acc.items() if v))
+
+
+def test_ram_forward_matches_the_removal_walk():
+    # every shape at every cycle type up to degree 10, the odd ones too (char
+    # reaches them through the class polynomials); plain_char grows only the
+    # shapes inside lam and must agree with the unbounded column
+    for n in range(11):
+        shapes = partitions_of(n)
+        for kappa, value in chars._ram_columns(shapes):
+            for lam in shapes:
+                want = LaurentPoly(dict(_ram_by_removal(lam, kappa)))
+                assert value(1, lam) == TowerElem.from_scalar(RatFunc.from_laurent(want)), \
+                    (lam, kappa)
+                assert plain_char(lam, kappa) == value(1, lam), (lam, kappa)
+
+
+def test_char_table_keeps_no_per_cell_state():
+    caches = [f for f in vars(chars).values()
+              if hasattr(f, "cache_info") and f.__module__ == chars.__name__]
+    assert caches
+    before = [f.cache_info().currsize for f in caches]
+    char_table(12)
+    assert [f.cache_info().currsize for f in caches] == before
 
 
 def _oracle_table(n):

@@ -42,7 +42,8 @@ def test_table_output_is_byte_stable():
 
 # SHA-256 of the table bytes above the goldens (n <= 5) and the benchmark
 # refs (n <= 7), recorded before split cells were formed from Ram's rule and
-# the closed form alone
+# the closed form alone; n = 13 and 14, above the resource guard, recorded
+# before Ram's rule ran forward
 TABLE_SHA256 = {
     ("6", "json"): "c7fe803069cbddc7fbecc743eaf944b746ab1ebc8d881416e5f1526ba67e5738",
     ("7", "json"): "80a964f322f81fbf7f9717be97efd940b3cb02712e3263217c888cfdcc227131",
@@ -52,12 +53,14 @@ TABLE_SHA256 = {
     ("11", "json"): "986f4256a86199f0b5cdba51159a7ac9f96c25c8d459436ae1808af15f21de3a",
     ("12", "json"): "78b29e696a3b476a40f90e82b534a5f0bb179c3aa637e8b893ae62478b4a0a04",
     ("12", "csv"): "6f6161f9f6a878a2f8db436695180a32827d84a76f926424743a5d557308a5c1",
+    ("13", "json"): "75928f4eb08249b9537973b77f2b593da22001953e878f475c70fec1569d97aa",
+    ("14", "json"): "ff3eaba857d43ec08ce64a343bcee3728746ac1f53a2c8ab7ff2b4ceed0c33d8",
 }
 
 
 @pytest.mark.parametrize("n, fmt", list(TABLE_SHA256))
 def test_table_bytes_are_pinned(n, fmt):
-    code, out = run_cli(["table", "-n", n, "--format", fmt])
+    code, out = run_cli(["table", "-n", n, "--format", fmt, "--force"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[n, fmt]
 
@@ -234,12 +237,21 @@ def test_verify_rejects_negative_cases(capsys):
 
 
 def test_char_rejects_a_shape_that_is_not_a_partition(capsys):
-    for shape in ("2,3", "0", "3,0,0"):
+    for shape in ("2,3", "0", "3,0,0", "a", "3,x"):
         with pytest.raises(SystemExit) as err:
             run_cli(["char", "--shape", shape, "--word", "1"])
         assert err.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("error: shape ") and lines[1].startswith("usage: ")
+
+
+def test_char_rejects_a_word_that_is_not_integers(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["char", "--shape", "3", "--word", "1,,2"])
+    assert err.value.code == 2
+    text = capsys.readouterr().err
+    assert text.splitlines()[0] == "error: word '1,,2': '' is not an integer"
+    assert "invalid literal" not in text
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
