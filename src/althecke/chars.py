@@ -34,24 +34,25 @@ self-conjugate shapes of the degree at once.
 Character tables, single values and class polynomials touch neither a
 matrix nor a Hecke-algebra element.  A plain value at a minimal-length
 representative comes from Ram's broken-border-strip rule run forward, one
-strip per part from the empty shape (:func:`_ram_columns`), and at any other
+strip per part from the empty shape (:func:`_ram_packed`), and at any other
 permutation through the class polynomials; a twisted value is the
-closed-form unit scaled by its twisted class polynomial.  :func:`char_table`
-reads only Ram's rule and the closed form: its columns are minimal-length
-representatives, where the class polynomial is an indicator and the twisted
-class polynomial is +-1 at the hook class and zero elsewhere, so no
-recursion or conjugation search runs.  It walks the column cycle types as a
-trie, forms each column's cells over integer coefficients as its leaf is
-reached, and keeps no cache; :func:`plain_char` runs the same pass for one
-cycle type, bounded by its shape.  Only the B-basis split values read
+closed-form unit scaled by its twisted class polynomial.  A table reads only
+Ram's rule and the closed form: at its minimal-length column representatives
+the class polynomial is an indicator and the twisted one is +-1 at the hook
+class, zero elsewhere.  One pass over the column cycle types, walked as a
+trie, leaves each cell a packed integer (:func:`_packed_table`), which
+:func:`char_table` reads as a tower element and :func:`table_json` writes
+row by row; nothing is cached.  Only the B-basis split values read
 :mod:`althecke.hecke`; the matrix traces of :mod:`althecke.specht` only
 check these routes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations as iter_permutations, product
 from math import comb, factorial, prod
 from operator import mul
@@ -402,20 +403,19 @@ def _strips(nu: tuple, r: int, base: int) -> list:
     return out
 
 
-def _ram_columns(types, bound=None):
-    """Ram's rule forward: (kappa, value) for each cycle type kappa in
-    ``types``, where value(den, *shapes) is the sum of the shapes' values at
-    w_kappa divided by den.
+def _ram_packed(types, bound=None):
+    """Ram's rule forward: (kappa, values, bits, e) for each cycle type
+    kappa in ``types``, where values[lam] is the value sum(c_k q^(e+2k)) of
+    lam at w_kappa, held as its value sum(c_k 2^(bits k)) at Q = 2^bits.
 
     From {(): 1}, each part r of kappa, largest first, adds every broken
     border strip of size r times its weight, and q^-(r-1) turns T'_i into
     T_i.  The sorted types are walked as a trie: a shared prefix is grown
     once, only the states along the current path are kept, and the strips
     of a shape are listed once per call.  Shapes outside ``bound`` drop out.
-    A polynomial in Q is held as its value at Q = 2^bits: the absolute
-    coefficients of two values sum to less than n! 2^(n+1) (at most n! strip
-    sequences each, of norm at most 2^(n-1)), so balanced digits read it back.
-    """
+    Two values' absolute coefficients sum to less than n! 2^(n+1) (n! strip
+    sequences at most, each of norm at most 2^(n-1)), so :func:`_digits`
+    reads a value, or the sum of two, back."""
     n = max(map(sum, types))
     bits = (factorial(n) << (n + 1)).bit_length() + 1
     trail, strips = [((), {(): 1})], {}  # (prefix, {shape: value}) down the trie
@@ -432,17 +432,30 @@ def _ram_columns(types, bound=None):
                     if bound is None or contains(bound, lam):
                         grown[lam] = grown.get(lam, 0) + x * weight
             trail.append((prefix + (r,), grown))
-        yield kappa, partial(_read, trail[-1][1], bits, len(kappa) - sum(kappa))
+        yield kappa, trail[-1][1], bits, len(kappa) - sum(kappa)
 
 
-def _read(values: dict, bits: int, e: int, den: int, *shapes) -> TowerElem:
-    """The shapes' values summed, sum(c_k 2^(bits k)), as sum(c_k q^(e+2k)) / den."""
-    x, half, acc = sum(values.get(lam, 0) for lam in shapes), 1 << (bits - 1), {}
+def _ram_columns(types, bound=None):
+    """(kappa, value) per column of :func:`_ram_packed`, value(den, *shapes) their sum / den."""
+    for kappa, values, bits, e in _ram_packed(types, bound):
+        yield kappa, lambda den, *shapes, v=values, b=bits, e=e: _read(
+            sum(v.get(lam, 0) for lam in shapes), b, e, den)
+
+
+def _digits(x: int, bits: int, e: int):
+    """(e + 2k, c_k) for each nonzero balanced digit c_k of x = sum(c_k 2^(bits k))."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
     while x:
-        x, c = divmod(x + half, 2 * half)
-        if c != half:
-            acc[e] = (c - half, 0)
+        x += half
+        c, x = (x & mask) - half, x >> bits
+        if c:
+            yield e, c
         e += 2
+
+
+def _read(x: int, bits: int, e: int, den: int) -> TowerElem:
+    """The packed x = sum(c_k 2^(bits k)) as sum(c_k q^(e+2k)) / den."""
+    acc = {k: (c, 0) for k, c in _digits(x, bits, e)}
     return TowerElem.from_scalar(RatFunc.from_laurent(_lowest(acc, den)))
 
 
@@ -595,17 +608,11 @@ class CharTable(NamedTuple):
 
 def table_csv(table: CharTable) -> str:
     """The human-readable CSV form of a character table."""
-    lines = ["character," + ",".join(_csv_quote(cc.label()) for cc, _ in table.columns)]
-    for row in table.rows:
-        cells = ",".join(_csv_quote(pretty_tower(v)) for v in row.cells)
-        lines.append(f"{_csv_quote(row.label())},{cells}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["character", *(cc.label() for cc, _ in table.columns)])
+    writer.writerows([row.label(), *map(pretty_tower, row.cells)] for row in table.rows)
+    return out.getvalue()
 
 
 def table_rows(n: int):
@@ -622,42 +629,65 @@ def table_rows(n: int):
     return plan
 
 
-def char_table(n: int) -> CharTable:
-    """The character table of degree n from minimal-length representatives.
+def _packed_table(n: int):
+    """(columns, bits, rows) of the degree-n table, a row (kind, shape, units,
+    cells) and a cell (x, e, sign): Ram's packed x read by :func:`_read` at
+    q-offset e over 2, plus units[sign] = sign * u/2 (indexed by -1, 0, 1).
 
-    Every column representative has minimal length, so its class polynomial
-    is an indicator and its plain values are Ram's rule at its cycle type,
-    read as one forward pass over all the types reaches it.  A split row of
-    shape lam, hook type h, halves that value and adds half the twisted
-    value: the closed-form unit u at the plus class of type h, -u at its
-    minus class s_r w+ s_r (the FLAT witness of that one step is shorter
-    than n - d and folds to zero), and zero at every other class."""
+    A pair cell is the mean of the plain values, Ram's rule at the column's
+    cycle type, of the shape and its conjugate.  A split row of shape lam,
+    hook type h, halves the plain value and adds half the twisted value: the
+    closed-form unit u at the plus class of type h, -u at its minus class
+    s_r w+ s_r (the FLAT witness of that step is shorter than n - d and
+    folds to zero), zero elsewhere; the minus row subtracts it."""
     if n < 2:
         raise ValueError("character tables need degree at least 2")
     cols = tuple(alt_classes(n))
     at = {}  # cycle type -> the indices of its columns
     for j, (cc, _) in enumerate(cols):
         at.setdefault(cc.cycle_type, []).append(j)
-    plan = table_rows(n)
-    cells = {row: [None] * len(cols) for row in plan}
-    pairs = [(lam, conjugate(lam)) for kind, lam in plan if kind == "pair"]
-    splits = [(lam, h, _closed_value(lam, h, _sign("oracle")).scale(R_HALF))
-              for kind, lam in plan if kind == "plus" for h in [diagonal_hooks(lam)[0]]]
-    for kappa, value in _ram_columns(at):
-        for lam, mu in pairs:  # the half sum of two plain values, in Z[q, q^-1]
-            cell = value(2, lam, mu)
-            for j in at[kappa]:
-                cells["pair", lam][j] = cell
-        for lam, h, half_unit in splits:  # both split rows of lam at once
-            half = value(2, lam)
-            for j in at[kappa]:
-                if kappa == h:
-                    tw = half_unit if cols[j][0].alt_sign == "plus" else -half_unit
-                    cells["plus", lam][j], cells["minus", lam][j] = half + tw, half - tw
-                else:
-                    cells["plus", lam][j] = cells["minus", lam][j] = half
-    rows = tuple(TableRow(kind, lam, tuple(cells[kind, lam])) for kind, lam in plan)
-    return CharTable(n, resolve_sigma(), cols, rows)
+    rows, reads, zero = [], [], TowerElem.zero()  # reads: (shapes summed, hook type)
+    for kind, lam in table_rows(n):
+        h = None if kind == "pair" else diagonal_hooks(lam)[0]
+        if kind == "plus":  # the minus row of lam follows with the same u
+            u = _closed_value(lam, h, _sign("oracle")).scale(R_HALF)
+        rows.append((kind, lam, (zero, u, -u) if h else (zero,), [None] * len(cols)))
+        reads.append(((lam, conjugate(lam)) if h is None else (lam,), h))
+    for kappa, values, bits, e in _ram_packed(at):
+        for (kind, _, _, cells), (shapes, h) in zip(rows, reads):
+            x = sum(map(values.get, shapes, (0, 0)))  # values.get(lam, 0) summed
+            for j in at[kappa]:  # at the hook type: +u/2 where the row and class signs agree
+                cells[j] = (x, e, 0 if kappa != h else 1 if cols[j][0].alt_sign == kind else -1)
+    return cols, bits, rows
+
+
+def char_table(n: int) -> CharTable:
+    """The character table of degree n: the cells of :func:`_packed_table` as tower elements."""
+    cols, bits, rows = _packed_table(n)
+    return CharTable(n, resolve_sigma(), cols, tuple(
+        TableRow(kind, lam, tuple(_read(x, bits, e, 2) + units[s] for x, e, s in cells))
+        for kind, lam, units, cells in rows))
+
+
+def table_json(n: int):
+    """``char_table(n).to_json()`` and a newline, one row at a time, each cell rendered
+    from the balanced digits of its packed value (the radical of a split row once per row)."""
+    cols, bits, rows = _packed_table(n)
+    yield canonical_json({"column_reps": [list(rep.one_line) for _, rep in cols],
+                          "columns": [cc.label() for cc, _ in cols],
+                          "convention": "oracle", "n": n})[:-1] + ',"rows":['
+    for i, (kind, lam, units, cells) in enumerate(rows):
+        radical = [[]] + [[canonical_json(tower_to_obj(u)["terms"][0])] for u in units[1:]]
+        frags = []
+        for x, e, sign in cells:  # c/2 in lowest terms
+            terms = ['{"den":[[0,1,1,0,1]],"num":[' + ",".join(
+                f"[{k},{c},2,0,1]" if c & 1 else f"[{k},{c >> 1},1,0,1]"
+                for k, c in _digits(x, bits, e)) + '],"ys":[]}'] if x else []
+            frags.append('{"terms":[' + ",".join(terms + radical[sign]) + "]}")
+        label = TableRow(kind, lam, ()).label()  # digits, commas, brackets, a sign: no escapes
+        yield ("," if i else "") + '{"cells":[' + ",".join(frags) + (
+            f'],"kind":"{kind}","label":"{label}","shape":[{",".join(map(str, lam))}]}}')
+    yield f'],"sigma":{resolve_sigma()}}}\n'
 
 
 # ---------------------------------------------------------------------------

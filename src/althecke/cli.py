@@ -10,10 +10,10 @@ Subcommands::
     verify     run the identity/verification suites
 
 Output is canonical JSON (byte-identical across runs), or CSV for
-``table``, rendered from the same computed table; ``table`` keeps no
-on-disk state.  Every value document carries the sign convention in its
-metadata; only ``char`` and ``tau-char`` read ``--convention``.  Words and
-shapes are comma-separated and 1-based on the command line.
+``table``; both come from the same packed table cells, JSON row by row,
+and ``table`` keeps no on-disk state.  Every value document carries the
+sign convention; only ``char`` and ``tau-char`` read ``--convention``.
+Words and shapes are comma-separated and 1-based on the command line.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .chars import (
     resolve_sigma,
     split_char_values,
     table_csv,
+    table_json,
     twisted_char,
 )
 from .verify import SUITES
@@ -81,11 +82,10 @@ def _value_obj(value, convention: str) -> dict:
 
 def cmd_table(args) -> int:
     _guard_n(args.n, args.force)
-    table = char_table(args.n)
     if args.format == "csv":
-        sys.stdout.write(table_csv(table))
+        sys.stdout.write(table_csv(char_table(args.n)))
     else:
-        _emit(table.to_obj())
+        sys.stdout.writelines(table_json(args.n))
     return 0
 
 

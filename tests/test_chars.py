@@ -1,8 +1,9 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
@@ -50,6 +51,7 @@ from althecke.scalars import (
     q_minus_qinv,
     qint,
     specialize_numeric,
+    tower_from_obj,
 )
 from althecke.specht import char_alt, char_T, twisted_trace
 from althecke.symgroup import (
@@ -658,3 +660,106 @@ def test_path_fold_matches_oracles_n6():
             assert twisted_char((3, 2, 1), w)[0] == twisted_trace((3, 2, 1), w), w
         for lam in partitions_of(6):
             assert char_via_class_polys(lam, w) == char_T(lam, w), (lam, w)
+
+
+def test_ram_packing_width_holds():
+    # table_json renders the balanced digits of _ram_packed as they come, so
+    # every value it reads, alone or summed with its conjugate's, must have
+    # coefficients strictly inside +-2^(bits-1); the columns are grown again
+    # at a base 2^64 times wider to read the true coefficients
+    for n in range(2, 15):
+        shapes, grown = partitions_of(n), {(): {(): 1}}
+
+        def column(kappa):
+            if kappa not in grown:
+                grown[kappa] = acc = {}
+                for nu, x in column(kappa[:-1]).items():
+                    for lam, weight in chars._strips(nu, kappa[-1], 1 << wide):
+                        acc[lam] = acc.get(lam, 0) + x * weight
+            return grown[kappa]
+
+        for kappa, values, bits, e in chars._ram_packed(shapes):
+            wide = bits + 64
+            exact = column(kappa)
+            for group in {tuple(sorted({lam, conjugate(lam)})) for lam in shapes} | {
+                    (lam,) for lam in shapes}:
+                want = list(chars._digits(sum(exact.get(lam, 0) for lam in group), wide, e))
+                assert all(abs(c) < 1 << (bits - 1) for _, c in want), (n, kappa, group)
+                got = chars._digits(sum(values.get(lam, 0) for lam in group), bits, e)
+                assert list(got) == want, (n, kappa, group)
+
+
+# The Schur relations at generic q (Geck-Pfeiffer 2000, generic degrees and
+# Schur elements), in exact Laurent arithmetic.  With Q = q^2, n(lam) =
+# sum((i - 1) lam_i) and the generic degree D_lam = Q^n(lam) prod_(i<=n)(Q^i - 1)
+# / prod_hooks(Q^h - 1), the trace tau(T_w) = delta_(w,1) is sum(D_lam
+# chi_lam(T_w)) / P over the shapes of n, P = prod_(i<=n) (Q^i - 1)/(Q - 1).
+
+
+def _times_q_minus_one(a: list, k: int) -> list:
+    """a(Q) (Q^k - 1), coefficient lists by degree."""
+    out = [0] * (len(a) + k)
+    for i, c in enumerate(a):
+        out[i + k] += c
+        out[i] -= c
+    return out
+
+
+def _over_q_minus_one(a: list, k: int) -> list:
+    """a(Q) / (Q^k - 1), which must divide exactly."""
+    a, out = list(a), [0] * (len(a) - k)
+    for i in range(len(a) - 1, k - 1, -1):
+        out[i - k], a[i - k], a[i] = a[i], a[i - k] + a[i], 0
+    assert not any(a)
+    return out
+
+
+def _generic_degrees(n: int):
+    """(P, {lam: D_lam}) as Laurent polynomials in q."""
+    def in_q(coeffs):
+        return RatFunc.from_laurent(LaurentPoly({2 * k: c for k, c in enumerate(coeffs) if c}))
+
+    top = reduce(_times_q_minus_one, range(1, n + 1), [1])
+    degrees = {}
+    for lam in partitions_of(n):
+        mu = conjugate(lam)
+        hooks = [lam[i] - j + mu[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+        shift = sum(i * part for i, part in enumerate(lam))
+        degrees[lam] = in_q([0] * shift + reduce(_over_q_minus_one, hooks, top))
+    return in_q(reduce(_over_q_minus_one, [1] * n, top)), degrees
+
+
+def test_plain_values_satisfy_the_generic_schur_relation():
+    # sum(D_lam chi_lam(T_w)) = P delta_(w,1) at every cycle type, so a value
+    # labelled by the conjugate shape (D_lam' for D_lam) fails off the identity
+    for n in range(1, 13):
+        p, degrees = _generic_degrees(n)
+        shapes = partitions_of(n)
+        for kappa, value in chars._ram_columns(shapes):
+            total = sum((value(1, lam).scale(degrees[lam]) for lam in shapes), TowerElem.zero())
+            want = TowerElem.from_scalar(p) if kappa == (1,) * n else TowerElem.zero()
+            assert total == want, (n, kappa)
+
+
+def test_table_satisfies_the_generic_schur_relation():
+    # on the cells of table_json, read back by tower_from_obj: the two rows of
+    # a self-conjugate shape sum to its plain value and the pair cells to the
+    # half sum of two, so sum((D_lam + D_lam') pair cell) + sum(D_lam (plus +
+    # minus)) = P tau(A_w), where tau(A_1) = 1 and otherwise tau(A_w) = (q -
+    # q^-1)^length(w) / 2: T_w^# = prod(q - q^-1 - T_i) over a reduced word of
+    # distinct letters.  The twisted halves cancel, so the closed-form unit
+    # stays with the tableau formula, the oracle and the q = 1 values
+    for n in range(2, 15):
+        p, degrees = _generic_degrees(n)
+        doc = json.loads("".join(chars.table_json(n)))
+        cols = alt_classes(n)
+        assert doc["column_reps"] == [list(rep.one_line) for _, rep in cols]
+        weights = [degrees[tuple(row["shape"])] + degrees[conjugate(tuple(row["shape"]))]
+                   if row["kind"] == "pair" else degrees[tuple(row["shape"])]
+                   for row in doc["rows"]]
+        cells = [[tower_from_obj(cell) for cell in row["cells"]] for row in doc["rows"]]
+        for j, (cc, rep) in enumerate(cols):
+            total = sum((row[j].scale(w) for row, w in zip(cells, weights)), TowerElem.zero())
+            length = rep.length()
+            tau = math.prod([q_minus_qinv()] * length, start=RatFunc(1) / 2) if length else RatFunc(1)
+            assert total == TowerElem.from_scalar(p * tau), (n, cc.label())

@@ -65,6 +65,31 @@ def test_table_bytes_are_pinned(n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[n, fmt]
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_table_json_is_the_canonical_table_document(n):
+    from althecke.chars import char_table
+
+    code, out = run_cli(["table", "-n", str(n), "--force"])
+    assert code == 0
+    assert out == canonical_json(char_table(n).to_obj()) + "\n"
+
+
+def test_table_json_forms_no_tower_element(monkeypatch):
+    # the JSON cells are rendered from Ram's packed values: no cell is read
+    # into a tower element and no table document is built
+    from althecke import chars, cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table JSON went through the tower-element table")
+
+    for mod, name in ((chars, "_read"), (chars, "char_table"), (cli, "char_table")):
+        monkeypatch.setattr(mod, name, forbidden)
+    monkeypatch.setattr(chars.CharTable, "to_obj", forbidden)
+    code, out = run_cli(["table", "-n", "9"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256["9", "json"]
+
+
 def test_tau_char_pretty_value():
     code, out = run_cli(["tau-char", "--shape", "2,1", "--word", "1,2"])
     assert code == 0
