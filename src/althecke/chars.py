@@ -72,7 +72,6 @@ from .combinat import (
 )
 from .hecke import NotAlternatingError, b_elem
 from .scalars import (
-    GaussianRational,
     LaurentPoly,
     R_HALF,
     R_ONE,
@@ -197,22 +196,22 @@ def technical_partner(t, kappa):
 # The closed form and its sign convention
 # ---------------------------------------------------------------------------
 
-def _i_power(m: int) -> GaussianRational:
-    return (GaussianRational(1), GaussianRational(0, 1),
-            GaussianRational(-1), GaussianRational(0, -1))[m % 4]
+#: sqrt(-1)^k for k = 0..3, as (real, imaginary) integer pairs
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _i_power(k: int) -> tuple:
+    return _I_POWERS[k % 4]
 
 
 def _closed_value(lam, kappa, sign: int) -> TowerElem:
     h, d = diagonal_hooks(lam)
-    n = sum(lam)
-    m = (n - d) // 2
-    coeff = _i_power(m)
-    if sign < 0 and m % 2:
-        coeff = -coeff
-    if eps_kappa(kappa) < 0:
-        coeff = -coeff
-    scalar = RatFunc.q_power(-m) * RatFunc(coeff)
-    return TowerElem.monomial([k for k in h if k >= 2], scalar)
+    m = (sum(lam) - d) // 2
+    # a sign flip is a factor sqrt(-1)^2
+    flips = (sign < 0 and m % 2) + (eps_kappa(kappa) < 0)
+    unit = RatFunc.from_laurent(_lowest({-m: _i_power(m + 2 * flips)}, 1))
+    # the diagonal hooks are distinct, so their radicals form one monomial
+    return TowerElem({frozenset(k for k in h if k >= 2): unit})
 
 
 def resolve_sigma() -> int:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands, one entry each of the table ``COMMANDS``::
 
     table      full alternating character table for a degree
     char       character values of one shape at one word
@@ -14,6 +14,8 @@ Output is canonical JSON (byte-identical across runs), or CSV for
 and ``table`` keeps no on-disk state.  Every value document carries the
 sign convention; only ``char`` and ``tau-char`` read ``--convention``.
 Words and shapes are comma-separated and 1-based on the command line.
+A call builds and runs only the parser of the command it names; the full
+parser, built from the same table, serves help and usage errors.
 """
 
 from __future__ import annotations
@@ -195,11 +197,8 @@ def cmd_basis(args) -> int:
     n = args.n
     _guard_n(n, args.force)
     build = {"A": a_elem, "B": b_elem}[args.which]
-    rows = []
-    for w in all_permutations(n):
-        elem = build(w)
-        rows.append({"perm": list(w.one_line), "length": w.length(),
-                     "element": hecke_to_obj(elem)})
+    rows = [{"perm": list(w.one_line), "length": w.length(), "element": hecke_to_obj(build(w))}
+            for w in all_permutations(n)]
     _emit({"command": "basis", "n": n, "which": args.which,
            "convention": "oracle", "rows": rows})
     return 0
@@ -234,73 +233,104 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
-        prog="althecke",
-        description="Exact irreducible characters of alternating Hecke algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, need_n=False, convention=False):
+    if convention:
+        p.add_argument("--convention", choices=("oracle", "paper"), default="oracle")
+    p.add_argument("--force", action="store_true",
+                   help=f"override the n <= {DEFAULT_N_MAX} resource guard")
+    if need_n:
+        p.add_argument("-n", type=_nonnegative, required=True)
 
-    def common(p, need_n=False, convention=False):
-        if convention:
-            p.add_argument("--convention", choices=("oracle", "paper"), default="oracle")
-        p.add_argument("--force", action="store_true",
-                       help=f"override the n <= {DEFAULT_N_MAX} resource guard")
-        if need_n:
-            p.add_argument("-n", type=_nonnegative, required=True)
 
-    p = sub.add_parser("table", help="full character table")
+def _table_args(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p, need_n=True)
-    p.set_defaults(func=cmd_table)
+    _common(p, need_n=True)
 
-    p = sub.add_parser("char", help="character values of one shape")
-    common(p, convention=True)
+
+def _char_args(p):
+    _common(p, convention=True)
     p.add_argument("--shape", required=True, help="partition, e.g. 3,3,3")
     p.add_argument("--word", default="", help="generator word, e.g. 1,2,3")
     p.add_argument("--sign", choices=("+", "-", "both"), default="both")
-    p.set_defaults(func=cmd_char)
 
-    p = sub.add_parser("tau-char", help="twisted character value")
-    common(p, convention=True)
+
+def _tau_char_args(p):
+    _common(p, convention=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--word", default="")
-    p.set_defaults(func=cmd_tau_char)
 
-    p = sub.add_parser("classpoly", help="class polynomials of a word")
-    common(p, need_n=True)
+
+def _classpoly_args(p):
+    _common(p, need_n=True)
     p.add_argument("--word", default="")
-    p.set_defaults(func=cmd_classpoly)
 
-    p = sub.add_parser("basis", help="dump the A or B basis")
-    common(p, need_n=True)
+
+def _basis_args(p):
+    _common(p, need_n=True)
     p.add_argument("--which", type=str.upper, choices=("A", "B"), default="B")
-    p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+
+def _verify_args(p):
+    _common(p)
     p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.add_argument("-n", type=int, default=4)
     p.add_argument("--cases", type=_nonnegative, default=200)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_verify)
 
+
+#: name -> (help, the function adding its arguments, handler), in help order
+COMMANDS = {
+    "table": ("full character table", _table_args, cmd_table),
+    "char": ("character values of one shape", _char_args, cmd_char),
+    "tau-char": ("twisted character value", _tau_char_args, cmd_tau_char),
+    "classpoly": ("class polynomials of a word", _classpoly_args, cmd_classpoly),
+    "basis": ("dump the A or B basis", _basis_args, cmd_basis),
+    "verify": ("run verification suites", _verify_args, cmd_verify),
+}
+
+
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, built on the first call and shared after it."""
+    parser = argparse.ArgumentParser(
+        prog="althecke",
+        description="Exact irreducible characters of alternating Hecke algebras")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+@lru_cache(maxsize=None)
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, equal to its subparser in ``build_parser``."""
+    parser = argparse.ArgumentParser(prog=f"althecke {name}")
+    COMMANDS[name][1](parser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if rest:  # the full parser refuses them with its own usage
+            build_parser().parse_args(argv)
+        args.command = argv[0]
+    else:  # help, and argv that does not start with a command
+        args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][2](args)
     except (ValueError, KeyError) as err:
+        parser = build_parser()
         parser.exit(2, f"error: {err}\n{parser.format_usage()}")
 
 

@@ -763,3 +763,22 @@ def test_table_satisfies_the_generic_schur_relation():
             length = rep.length()
             tau = math.prod([q_minus_qinv()] * length, start=RatFunc(1) / 2) if length else RatFunc(1)
             assert total == TowerElem.from_scalar(p * tau), (n, cc.label())
+
+
+def test_closed_value_is_the_product_of_its_hook_generators():
+    # the unit is built as one monomial key; multiplying the hook generators
+    # in one at a time gives the same element, eps(kappa) (s i)^m q^-m y_h
+    from itertools import permutations
+
+    i = GaussianRational(0, 1)
+    for n in range(1, 15):
+        for lam in self_conjugate_partitions(n):
+            h, d = diagonal_hooks(lam)
+            m = (n - d) // 2
+            for kappa in set(permutations(h)):
+                for convention, s in (("oracle", resolve_sigma()), ("paper", -1)):
+                    coeff = reduce(lambda a, b: a * b, [i * s] * m,
+                                   GaussianRational(eps_kappa(kappa)))
+                    expect = TowerElem.monomial([k for k in h if k >= 2],
+                                                RatFunc.q_power(-m) * RatFunc(coeff))
+                    assert twisted_char_closed(lam, kappa, convention) == expect

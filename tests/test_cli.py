@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -484,3 +484,89 @@ def test_classpoly_builds_no_averaged_element(monkeypatch):
     code, out = run_cli(["classpoly", "-n", "5", "--word", "2,3,4,3"])
     assert code == 0 and json.loads(out)["g"]
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["table", "classpoly", "basis"])
+def test_a_degree_that_is_not_an_integer_is_a_plain_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli([command, "-n", "x"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"usage: althecke {command} ")
+    assert err_text.endswith(f"althecke {command}: error: argument -n: 'x' is not an integer\n")
+    assert "_nonnegative" not in err_text
+
+
+def _outcome(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_parser_main(argv):
+    # every call through the full parser, as main ran before each command
+    # had a parser of its own
+    from althecke.cli import COMMANDS, build_parser
+
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return COMMANDS[args.command][2](args)
+    except (ValueError, KeyError) as err:
+        parser.exit(2, f"error: {err}\n{parser.format_usage()}")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--he"], ["-x"], ["bogus"], ["bogus", "-n", "3"], ["-h", "table"],
+    ["--", "table", "-n", "3"],
+    ["table"], ["table", "-h"], ["table", "--he"], ["table", "-n", "3"], ["table", "-n3"],
+    ["table", "-n=3", "--format", "csv"], ["table", "-n", "x"], ["table", "-n", "-1"],
+    ["table", "-n", "13"], ["table", "-n", "3", "--bogus"], ["table", "-n", "3", "extra"],
+    ["table", "--format", "xml", "-n", "3"], ["table", "--", "-n", "3"],
+    ["table", "-n", "3", "--", "x"], ["table", "--fo", "csv", "-n", "3"],
+    ["table", "-n", "3", "-h"], ["table", "--bogus", "-n", "x"], ["table", "-n"],
+    ["char", "-h"], ["char"], ["char", "--shape", "2,1", "--word", "1,2"],
+    ["char", "--shape", "3,3,3", "--word", "8,5,1,2,3,4,6,7", "--sign", "+"],
+    ["char", "--shape", "2,2", "--word", "1,3", "--convention", "paper"],
+    ["char", "--shape", "a"], ["char", "--shape", "2,1", "--sign", "x"],
+    ["char", "--shape", "2,1", "extra"], ["char", "--shape", "2,1", "--format", "csv"],
+    ["tau-char", "-h"], ["tau-char"], ["tau-char", "--shape"],
+    ["tau-char", "--shape", "2,1", "--word", "1,2", "--convention", "paper"],
+    ["tau-char", "--shape", "3", "--word", "1"], ["tau-char", "--shape", "2,1", "-n", "3"],
+    ["classpoly", "-h"], ["classpoly"], ["classpoly", "-n", "4", "--word", "2,1,3,2"],
+    ["classpoly", "-n", "x"], ["classpoly", "-n", "-1"], ["classpoly", "-n", "3", "--word", "5"],
+    ["classpoly", "-n", "3", "--word", "1,2", "--convention", "paper"],
+    ["basis", "-h"], ["basis", "-n", "3", "--which", "a"], ["basis", "-n", "3", "--which", "C"],
+    ["basis", "-n", "x"], ["basis", "-n", "13"], ["basis", "-n", "3", "--format", "csv"],
+    ["verify", "-h"], ["verify", "--suite", "cute", "-n", "3"], ["verify", "-n", "1"],
+    ["verify", "--cases", "-1"], ["verify", "--cases", "x"], ["verify", "-n", "x"],
+    ["verify", "--suite", "nope"], ["verify", "--suite", "cute", "--format", "csv"],
+])
+def test_command_parser_route_matches_the_full_parser(argv):
+    # stdout, stderr and exit code are those of the full parser's route
+    assert _outcome(main, argv) == _outcome(_full_parser_main, argv)
+
+
+def test_a_query_builds_only_the_parser_of_its_command(monkeypatch):
+    import argparse
+
+    from althecke import cli
+
+    for obj in vars(cli).values():  # cold, as in a fresh process
+        if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == cli.__name__:
+            obj.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out = run_cli(["table", "-n", "5"])
+    assert code == 0 and json.loads(out)["n"] == 5
+    assert built == ["althecke table"]
