@@ -200,16 +200,12 @@ def technical_partner(t, kappa):
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _i_power(k: int) -> tuple:
-    return _I_POWERS[k % 4]
-
-
 def _closed_value(lam, kappa, sign: int) -> TowerElem:
     h, d = diagonal_hooks(lam)
     m = (sum(lam) - d) // 2
-    # a sign flip is a factor sqrt(-1)^2
-    flips = (sign < 0 and m % 2) + (eps_kappa(kappa) < 0)
-    unit = RatFunc.from_laurent(_lowest({-m: _i_power(m + 2 * flips)}, 1))
+    # each sign flip is a factor sqrt(-1)^2
+    flips = (sign < 0 and m % 2 == 1) + (eps_kappa(kappa) < 0)
+    unit = RatFunc.from_laurent(_lowest({-m: _I_POWERS[(m + 2 * flips) % 4]}, 1))
     # the diagonal hooks are distinct, so their radicals form one monomial
     return TowerElem({frozenset(k for k in h if k >= 2): unit})
 

@@ -197,8 +197,11 @@ def cmd_basis(args) -> int:
     n = args.n
     _guard_n(n, args.force)
     build = {"A": a_elem, "B": b_elem}[args.which]
-    rows = [{"perm": list(w.one_line), "length": w.length(), "element": hecke_to_obj(build(w))}
-            for w in all_permutations(n)]
+    rows = []
+    for w in all_permutations(n):
+        elem = build(w)
+        rows.append({"perm": list(w.one_line), "length": w.length(),
+                     "element": hecke_to_obj(elem)})
     _emit({"command": "basis", "n": n, "which": args.which,
            "convention": "oracle", "rows": rows})
     return 0

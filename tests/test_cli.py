@@ -570,3 +570,16 @@ def test_a_query_builds_only_the_parser_of_its_command(monkeypatch):
     code, out = run_cli(["table", "-n", "5"])
     assert code == 0 and json.loads(out)["n"] == 5
     assert built == ["althecke table"]
+
+
+_USAGE = json.loads((Path(__file__).parent / "golden" / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _USAGE["cases"], ids=lambda c: " ".join(c["argv"]) or "no-arguments")
+@pytest.mark.parametrize("call", [main, _full_parser_main], ids=["main", "full-parser"])
+def test_usage_and_help_match_the_recorded_bytes(call, case, monkeypatch):
+    # both routes against the bytes of the one full parser every call used before
+    if "%d.%d" % sys.version_info[:2] != _USAGE["python"]:
+        pytest.skip(f"recorded under CPython {_USAGE['python']}; argparse's wording varies")
+    monkeypatch.setenv("COLUMNS", str(_USAGE["columns"]))
+    assert _outcome(call, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
