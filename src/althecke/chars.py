@@ -379,15 +379,20 @@ def _strips(nu: tuple, r: int, base: int) -> list:
     block, so lam_i <= nu_(i-1) + 1 in every row i > 1.  Of its non-empty
     rows, ``links`` share a column with the row above (nu_(i-1) < lam_i), so
     it has cc = rows - links components and height ht = links; Ram's weight
-    (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1), T'_i = q T_i and Q = q^2, is at base."""
+    (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1), T'_i = q T_i and Q = q^2, is at base.
+    A strip of size 1 is an addable corner, the new row too: weight 1, no walk."""
     old = nu + (0,) * r
     above = (old[0] + r,) + old  # nu_(i-1) over row i; row 0 may take all r cells
+    if r == 1:  # in the walk's order, the lowest row first
+        return [(nu[:i] + (old[i] + 1,) + nu[i + 1:], 1)
+                for i in range(len(nu), -1, -1) if old[i] < above[i]]
     out = []
 
     def walk(i, prev, left, lam, rows, links):
-        lo = old[i]
-        for v in range(max(lo, 1), min(prev, above[i] + 1, lo + left) + 1):
-            rest, n_rows, n_links = left - v + lo, rows + (v > lo), links + (v > above[i])
+        lo, up = old[i], above[i]
+        top = up + 1 if prev > up else prev  # min(prev, up + 1), capped at lo + left
+        for v in range(lo or 1, (top if top < lo + left else lo + left) + 1):
+            rest, n_rows, n_links = left - v + lo, rows + (v > lo), links + (v > up)
             if rest:
                 walk(i + 1, v, rest, lam + (v,), n_rows, n_links)
             else:
@@ -407,7 +412,7 @@ def _ram_packed(types, bound=None):
     border strip of size r times its weight, and q^-(r-1) turns T'_i into
     T_i.  The sorted types are walked as a trie: a shared prefix is grown
     once, only the states along the current path are kept, and the strips
-    of a shape are listed once per call.  Shapes outside ``bound`` drop out.
+    of a shape are listed once per call, without those outside ``bound``.
     Two values' absolute coefficients sum to less than n! 2^(n+1) (n! strip
     sequences at most, each of norm at most 2^(n-1)), so :func:`_digits`
     reads a value, or the sum of two, back."""
@@ -420,12 +425,14 @@ def _ram_packed(types, bound=None):
         for r in kappa[len(trail[-1][0]):]:
             prefix, shapes = trail[-1]
             grown = {}
+            get = grown.get
             for nu, x in shapes.items():
-                if (nu, r) not in strips:
-                    strips[nu, r] = _strips(nu, r, 1 << bits)
-                for lam, weight in strips[nu, r]:
-                    if bound is None or contains(bound, lam):
-                        grown[lam] = grown.get(lam, 0) + x * weight
+                found = strips.get((nu, r))
+                if found is None:
+                    found = strips[nu, r] = [s for s in _strips(nu, r, 1 << bits)
+                                             if bound is None or contains(bound, s[0])]
+                for lam, weight in found:
+                    grown[lam] = get(lam, 0) + x * weight
             trail.append((prefix + (r,), grown))
         yield kappa, trail[-1][1], bits, len(kappa) - sum(kappa)
 
@@ -641,16 +648,17 @@ def _packed_table(n: int):
     at = {}  # cycle type -> the indices of its columns
     for j, (cc, _) in enumerate(cols):
         at.setdefault(cc.cycle_type, []).append(j)
-    rows, reads, zero = [], [], TowerElem.zero()  # reads: (shapes summed, hook type)
+    rows, reads, zero = [], [], TowerElem.zero()  # reads: (lam, lam' or None, hook type)
     for kind, lam in table_rows(n):
         h = None if kind == "pair" else diagonal_hooks(lam)[0]
         if kind == "plus":  # the minus row of lam follows with the same u
             u = _closed_value(lam, h, _sign("oracle")).scale(R_HALF)
         rows.append((kind, lam, (zero, u, -u) if h else (zero,), [None] * len(cols)))
-        reads.append(((lam, conjugate(lam)) if h is None else (lam,), h))
+        reads.append((lam, conjugate(lam) if h is None else None, h))
     for kappa, values, bits, e in _ram_packed(at):
-        for (kind, _, _, cells), (shapes, h) in zip(rows, reads):
-            x = sum(map(values.get, shapes, (0, 0)))  # values.get(lam, 0) summed
+        get = values.get
+        for (kind, _, _, cells), (lam, mu, h) in zip(rows, reads):
+            x = get(lam, 0) if mu is None else get(lam, 0) + get(mu, 0)
             for j in at[kappa]:  # at the hook type: +u/2 where the row and class signs agree
                 cells[j] = (x, e, 0 if kappa != h else 1 if cols[j][0].alt_sign == kind else -1)
     return cols, bits, rows
@@ -665,19 +673,22 @@ def char_table(n: int) -> CharTable:
 
 
 def table_json(n: int):
-    """``char_table(n).to_json()`` and a newline, one row at a time, each cell rendered
-    from the balanced digits of its packed value (the radical of a split row once per row)."""
+    """``char_table(n).to_json()`` and a newline, one row at a time: each distinct packed
+    value once from its balanced digits, then each cell adds the radical of its row."""
     cols, bits, rows = _packed_table(n)
     yield canonical_json({"column_reps": [list(rep.one_line) for _, rep in cols],
                           "columns": [cc.label() for cc, _ in cols],
                           "convention": "oracle", "n": n})[:-1] + ',"rows":['
+    numeric = {}  # (x, e) -> its terms, c/2 in lowest terms
     for i, (kind, lam, units, cells) in enumerate(rows):
         radical = [[]] + [[canonical_json(tower_to_obj(u)["terms"][0])] for u in units[1:]]
         frags = []
-        for x, e, sign in cells:  # c/2 in lowest terms
-            terms = ['{"den":[[0,1,1,0,1]],"num":[' + ",".join(
-                f"[{k},{c},2,0,1]" if c & 1 else f"[{k},{c >> 1},1,0,1]"
-                for k, c in _digits(x, bits, e)) + '],"ys":[]}'] if x else []
+        for x, e, sign in cells:
+            terms = numeric.get((x, e))
+            if terms is None:
+                terms = numeric[x, e] = ['{"den":[[0,1,1,0,1]],"num":[' + ",".join(
+                    f"[{k},{c},2,0,1]" if c & 1 else f"[{k},{c >> 1},1,0,1]"
+                    for k, c in _digits(x, bits, e)) + '],"ys":[]}'] if x else []
             frags.append('{"terms":[' + ",".join(terms + radical[sign]) + "]}")
         label = TableRow(kind, lam, ()).label()  # digits, commas, brackets, a sign: no escapes
         yield ("," if i else "") + '{"cells":[' + ",".join(frags) + (

@@ -210,6 +210,8 @@ def cmd_basis(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 2:
         raise ValueError(f"verify needs a degree n >= 2, got {args.n}")
+    if args.cases < 1:
+        raise ValueError(f"verify needs at least one case, got --cases {args.cases}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     _guard_n(args.n, args.force)
     results = []

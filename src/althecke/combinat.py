@@ -57,10 +57,10 @@ def is_partition(parts) -> bool:
 
 
 def conjugate(lam) -> tuple:
-    lam = tuple(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
+    lam, out = tuple(lam), []
+    for i in range(len(lam), 0, -1):  # lam_i - lam_(i+1) columns of height i
+        out += [i] * (lam[i - 1] - (lam[i] if i < len(lam) else 0))
+    return tuple(out)
 
 
 def is_self_conjugate(lam) -> bool:

@@ -478,6 +478,32 @@ def _ram_by_removal(lam: tuple, kappa: tuple) -> tuple:
     return tuple(sorted((e, v) for e, v in acc.items() if v))
 
 
+def test_strips_are_the_broken_border_strips_by_their_cells():
+    # chars._strips against every shape lam over nu with r more cells, read
+    # off the cells of lam/nu: no 2x2 block; rows counts the non-empty rows,
+    # links the adjacent row pairs with a common column; the weight is
+    # (-1)^links base^(r - rows) (base - 1)^(rows - links - 1)
+    for m in range(10):
+        for nu in partitions_of(m):
+            for r in range(1, 11 - m):
+                for base in (3, 1 << 20):
+                    want = set()
+                    for lam in partitions_of(m + r):
+                        if len(lam) < len(nu) or any(a < b for a, b in zip(lam, nu)):
+                            continue
+                        inner = nu + (0,) * (len(lam) - len(nu))
+                        cells = {(i, c) for i, p in enumerate(lam) for c in range(inner[i], p)}
+                        if any({(i, c + 1), (i + 1, c), (i + 1, c + 1)} <= cells
+                               for i, c in cells):
+                            continue
+                        rows = len({i for i, _ in cells})
+                        links = len({i for i, c in cells if (i + 1, c) in cells})
+                        weight = base ** (r - rows) * (base - 1) ** (rows - links - 1)
+                        want.add((lam, -weight if links % 2 else weight))
+                    got = chars._strips(nu, r, base)
+                    assert len(got) == len(set(got)) and set(got) == want, (nu, r)
+
+
 def test_ram_forward_matches_the_removal_walk():
     # every shape at every cycle type up to degree 10, the odd ones too (char
     # reaches them through the class polynomials); plain_char grows only the

@@ -261,6 +261,17 @@ def test_verify_rejects_negative_cases(capsys):
     assert "--cases" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["greene", "all"])
+def test_verify_rejects_zero_cases(suite, capsys):
+    # zero cases would run no Greene check and still report "passed"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "--suite", suite, "--cases", "0"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: verify needs at least one case, got --cases 0"
+    assert len(lines) == 2 and lines[1].startswith("usage: ")
+
+
 def test_char_rejects_a_shape_that_is_not_a_partition(capsys):
     for shape in ("2,3", "0", "3,0,0", "a", "3,x"):
         with pytest.raises(SystemExit) as err:

@@ -37,6 +37,15 @@ def test_conjugate():
         assert conjugate(conjugate(lam)) == lam
 
 
+def test_conjugate_counts_the_parts_reaching_each_column():
+    # lam'_c = #{i : lam_i >= c}, from any iterable of parts
+    assert conjugate([]) == ()
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            want = tuple(sum(p >= c for p in lam) for c in range(1, lam[0] + 1))
+            assert conjugate(lam) == conjugate(list(lam)) == want, lam
+
+
 def test_skew_cells():
     assert skew_cells((2, 2), (1,)) == [(1, 2), (2, 1), (2, 2)]
     with pytest.raises(ValueError):
