@@ -674,13 +674,15 @@ def char_table(n: int) -> CharTable:
 
 def table_json(n: int):
     """``char_table(n).to_json()`` and a newline, one row at a time: each distinct packed
-    value once from its balanced digits, then each cell adds the radical of its row."""
+    value of a row (or of a plus and minus pair of rows) once from its balanced digits,
+    then each cell adds the radical of its row."""
     cols, bits, rows = _packed_table(n)
     yield canonical_json({"column_reps": [list(rep.one_line) for _, rep in cols],
                           "columns": [cc.label() for cc, _ in cols],
                           "convention": "oracle", "n": n})[:-1] + ',"rows":['
-    numeric = {}  # (x, e) -> its terms, c/2 in lowest terms
     for i, (kind, lam, units, cells) in enumerate(rows):
+        if kind != "minus":  # a minus row repeats the values of the plus row before it
+            numeric = {}  # (x, e) -> its terms, c/2 in lowest terms
         radical = [[]] + [[canonical_json(tower_to_obj(u)["terms"][0])] for u in units[1:]]
         frags = []
         for x, e, sign in cells:
