@@ -400,6 +400,7 @@ def _strips(nu: tuple, r: int, base: int) -> list:
                 out.append((lam + (v,) + nu[i + 1:], -weight if n_links % 2 else weight))
 
     walk(0, above[0], r, (), 0, 0)
+    del walk  # it refers to itself through its closure cell, which holds out too
     return out
 
 

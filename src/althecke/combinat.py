@@ -154,23 +154,23 @@ class StdTableau:
                 for c in range(len(rows[r + 1])):
                     if rows[r][c] >= rows[r + 1][c]:
                         raise ValueError("columns must increase")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_pos", pos)
+        _set_rows(self, rows)
+        _set_shape(self, shape)
+        _set_pos(self, pos)
 
     def __setattr__(self, name, value):
         raise AttributeError("StdTableau is immutable")
 
     @staticmethod
     def _raw(rows: tuple) -> "StdTableau":
-        t = StdTableau.__new__(StdTableau)
+        t = object.__new__(StdTableau)
         pos = {}
         for r, row in enumerate(rows, start=1):
             for c, v in enumerate(row, start=1):
                 pos[v] = (r, c)
-        object.__setattr__(t, "rows", rows)
-        object.__setattr__(t, "shape", tuple(len(r) for r in rows))
-        object.__setattr__(t, "_pos", pos)
+        _set_rows(t, rows)
+        _set_shape(t, tuple(len(r) for r in rows))
+        _set_pos(t, pos)
         return t
 
     @property
@@ -243,6 +243,12 @@ class StdTableau:
     def __str__(self):
         width = len(str(self.n))
         return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in self.rows)
+
+
+# StdTableau.__setattr__ raises, so construction fills the slots through these
+_set_rows = StdTableau.rows.__set__
+_set_shape = StdTableau.shape.__set__
+_set_pos = StdTableau._pos.__set__
 
 
 @lru_cache(maxsize=None)

@@ -57,17 +57,17 @@ class HeckeElem:
                     if w.n != n:
                         raise ValueError(f"permutation degree {w.n} != {n}")
                     c[w] = v
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", c)
+        _set_n(self, n)
+        _set_coeffs(self, c)
 
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElem is immutable")
 
     @staticmethod
     def _raw(n: int, coeffs: dict) -> "HeckeElem":
-        h = HeckeElem.__new__(HeckeElem)
-        object.__setattr__(h, "n", n)
-        object.__setattr__(h, "coeffs", coeffs)
+        h = object.__new__(HeckeElem)
+        _set_n(h, n)
+        _set_coeffs(h, coeffs)
         return h
 
     # -- constructors ---------------------------------------------------
@@ -165,6 +165,11 @@ class HeckeElem:
         terms = ", ".join(f"T{list(w.one_line)}: {v}" for w, v in
                           sorted(self.coeffs.items(), key=lambda kv: (kv[0].length(), kv[0].one_line)))
         return f"HeckeElem(n={self.n}, {{{terms}}})"
+
+
+# HeckeElem.__setattr__ raises, so construction fills the slots through these
+_set_n = HeckeElem.n.__set__
+_set_coeffs = HeckeElem.coeffs.__set__
 
 
 # ---------------------------------------------------------------------------

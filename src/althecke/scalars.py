@@ -57,8 +57,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        _set_re(self, re if isinstance(re, Fraction) else Fraction(re))
+        _set_im(self, im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -157,6 +157,11 @@ class GaussianRational:
         return f"({self.re}{sign}{ipart})"
 
 
+# Each class's __setattr__ raises, so construction fills its slots through
+# the setters of its slot descriptors, bound once after the class
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
 G_ZERO = GaussianRational(0)
 G_ONE = GaussianRational(1)
 
@@ -191,9 +196,9 @@ class LaurentPoly:
         # over the lcm of the denominators the numerators are already coprime to d
         c = {e: (g.re.numerator * (d // g.re.denominator),
                  g.im.numerator * (d // g.im.denominator)) for e, g in gs.items()}
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_d", d)
-        object.__setattr__(self, "_hash", None)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -202,10 +207,10 @@ class LaurentPoly:
     def _raw(c: dict, d: int = 1) -> "LaurentPoly":
         """Build from integer pairs over d without reduction; the caller
         guarantees lowest terms."""
-        p = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(p, "_c", c)
-        object.__setattr__(p, "_d", d)
-        object.__setattr__(p, "_hash", None)
+        p = object.__new__(LaurentPoly)
+        _set_c(p, c)
+        _set_d(p, d)
+        _set_hash(p, None)
         return p
 
     # -- constructors ---------------------------------------------------
@@ -356,7 +361,7 @@ class LaurentPoly:
         h = self._hash
         if h is None:
             h = hash((self._d, tuple(sorted(self._c.items()))))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -388,6 +393,11 @@ class LaurentPoly:
             else:
                 out += " + " + term
         return out
+
+
+_set_c = LaurentPoly._c.__set__
+_set_d = LaurentPoly._d.__set__
+_set_hash = LaurentPoly._hash.__set__
 
 
 def _lowest(c: dict, d: int) -> LaurentPoly:
@@ -522,8 +532,8 @@ class RatFunc:
         elif isinstance(den, (int, Fraction, GaussianRational)):
             den = LaurentPoly({0: den})
         num, den = _reduce(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -531,9 +541,9 @@ class RatFunc:
     @staticmethod
     def _make(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
         """Build without reduction; caller guarantees canonical form."""
-        r = RatFunc.__new__(RatFunc)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
+        r = object.__new__(RatFunc)
+        _set_num(r, num)
+        _set_den(r, den)
         return r
 
     # -- constructors ---------------------------------------------------
@@ -658,6 +668,10 @@ class RatFunc:
         if len(self.num) > 1:
             ns = f"({ns})"
         return f"{ns}/({self.den})"
+
+
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
 
 
 def _reduce(num: LaurentPoly, den: LaurentPoly):
@@ -853,15 +867,15 @@ class TowerElem:
                         raise InvalidGeneratorError(
                             f"tower monomial indices must be >= 2, got {sorted(s)}")
                     t[s] = c
-        object.__setattr__(self, "terms", t)
+        _set_terms(self, t)
 
     def __setattr__(self, name, value):
         raise AttributeError("TowerElem is immutable")
 
     @staticmethod
     def _raw(t: dict) -> "TowerElem":
-        e = TowerElem.__new__(TowerElem)
-        object.__setattr__(e, "terms", t)
+        e = object.__new__(TowerElem)
+        _set_terms(e, t)
         return e
 
     # -- constructors ---------------------------------------------------
@@ -1000,6 +1014,8 @@ class TowerElem:
                 parts.append(f"{cs}·{ys}")
         return " + ".join(parts)
 
+
+_set_terms = TowerElem.terms.__set__
 
 T_ZERO = TowerElem._raw({})
 T_ONE = TowerElem._raw({frozenset(): R_ONE})

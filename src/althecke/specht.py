@@ -36,12 +36,12 @@ class SemiRep:
     __slots__ = ("shape", "basis", "index", "gens", "tau", "self_conjugate")
 
     def __init__(self, shape, basis, index, gens, tau, self_conjugate):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "self_conjugate", self_conjugate)
+        _set_shape(self, shape)
+        _set_basis(self, basis)
+        _set_index(self, index)
+        _set_gens(self, gens)
+        _set_tau(self, tau)
+        _set_self_conjugate(self, self_conjugate)
 
     def __setattr__(self, name, value):
         raise AttributeError("SemiRep is immutable")
@@ -55,6 +55,15 @@ class SemiRep:
 
     def __repr__(self):
         return f"SemiRep(shape={self.shape}, dim={self.dim})"
+
+
+# SemiRep.__setattr__ raises, so construction fills the slots through these
+_set_shape = SemiRep.shape.__set__
+_set_basis = SemiRep.basis.__set__
+_set_index = SemiRep.index.__set__
+_set_gens = SemiRep.gens.__set__
+_set_tau = SemiRep.tau.__set__
+_set_self_conjugate = SemiRep.self_conjugate.__set__
 
 
 @lru_cache(maxsize=None)

@@ -45,17 +45,17 @@ class Permutation:
         n = len(ol)
         if sorted(ol) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {ol}")
-        object.__setattr__(self, "one_line", ol)
-        object.__setattr__(self, "_len", None)
+        _set_one_line(self, ol)
+        _set_len(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
     @staticmethod
     def _raw(ol: tuple, length: int | None = None) -> "Permutation":
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "one_line", ol)
-        object.__setattr__(p, "_len", length)
+        p = object.__new__(Permutation)
+        _set_one_line(p, ol)
+        _set_len(p, length)
         return p
 
     def _moved(self, ol: tuple, change: int) -> "Permutation":
@@ -106,7 +106,7 @@ class Permutation:
             ol = self.one_line
             n = len(ol)
             cached = sum(1 for i in range(n) for j in range(i + 1, n) if ol[i] > ol[j])
-            object.__setattr__(self, "_len", cached)
+            _set_len(self, cached)
         return cached
 
     def eps(self) -> int:
@@ -186,6 +186,11 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
 
+# Permutation.__setattr__ raises, so construction fills the slots through these
+_set_one_line = Permutation.one_line.__set__
+_set_len = Permutation._len.__set__
+
+
 def identity(n: int) -> Permutation:
     return Permutation._raw(tuple(range(1, n + 1)), 0)
 
@@ -194,6 +199,8 @@ def from_word(word, n: int) -> Permutation:
     w = identity(n)
     for i in word:
         if not 1 <= i < n:
+            if n < 2:
+                raise MalformedWordError(f"degree {n} has no generators")
             raise MalformedWordError(f"generator index {i} outside 1..{n - 1}")
         w = w.right_mult_s(i)
     return w

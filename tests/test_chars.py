@@ -1,4 +1,5 @@
 import cmath
+import gc
 import json
 import math
 import random
@@ -789,6 +790,18 @@ def test_table_satisfies_the_generic_schur_relation():
             length = rep.length()
             tau = math.prod([q_minus_qinv()] * length, start=RatFunc(1) / 2) if length else RatFunc(1)
             assert total == TowerElem.from_scalar(p * tau), (n, cc.label())
+
+
+def test_table_json_leaves_no_reference_cycle():
+    # the strip lists of Ram's rule are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(2, 9):
+            "".join(chars.table_json(n))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_closed_value_is_the_product_of_its_hook_generators():

@@ -290,6 +290,16 @@ def test_char_rejects_a_word_that_is_not_integers(capsys):
     assert "invalid literal" not in text
 
 
+@pytest.mark.parametrize("argv, n", [(["classpoly", "-n", "0"], 0), (["char", "--shape", "1"], 1)])
+def test_a_word_at_a_degree_without_generators_names_the_degree(argv, n, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--word", "1"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"error: degree {n} has no generators"
+    assert [line for line in lines if line.startswith("error:")] == lines[:1]
+
+
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_verify_rejects_a_degree_below_two(n, capsys):
     with pytest.raises(SystemExit) as err:
