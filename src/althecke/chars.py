@@ -59,7 +59,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .combinat import (
-    NotSymmetricError,
     conjugate,
     contains,
     diagonal_hooks,
@@ -67,6 +66,7 @@ from .combinat import (
     is_w_transposable,
     orbit_blocks,
     partitions_of,
+    require_self_conjugate,
     std_tableaux,
     transposable_tableaux,
 )
@@ -151,8 +151,7 @@ def gamma_of_tableau(t, kappa):
     * diagonally opposite i+1: the off-diagonal seminormal coefficient at
       content(i) - content(i+1).
     """
-    if conjugate(t.shape) != t.shape:
-        raise NotSymmetricError(f"{t.shape} is not self-conjugate")
+    require_self_conjugate(t.shape)
     if not is_w_transposable(t, kappa):
         return None
     factors = _gamma_factors(t, increasing_word(kappa))
@@ -283,9 +282,7 @@ def twisted_char(lam, w: Permutation, reduction=None, convention: str = "oracle"
     ``reduction = reduce_to_composition(w)`` passes it, and the path is
     folded without being searched again.
     """
-    lam = tuple(lam)
-    if conjugate(lam) != lam:
-        raise NotSymmetricError(f"{lam} is not self-conjugate")
+    lam = require_self_conjugate(lam)
     coeffs = _twisted_value(w) if reduction is None else _fold_path(*reduction)
     h, _ = diagonal_hooks(lam)
     a = dict(coeffs).get(h, R_ZERO)
@@ -548,9 +545,7 @@ def split_char_values(lam, w: Permutation, basis: str = "A",
     ``convention``, as :func:`twisted_char` does; under ``"paper"`` the two
     values swap wherever (n - d)/2 is odd.
     """
-    lam = tuple(lam)
-    if conjugate(lam) != lam:
-        raise NotSymmetricError(f"{lam} is not self-conjugate")
+    lam = require_self_conjugate(lam)
     if not w.is_even():
         raise NotAlternatingError(f"{w!r} is odd")
     if basis == "A":  # averaging is invisible to both traces

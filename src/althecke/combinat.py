@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from ._frozen import Frozen
+
 
 class NotSymmetricError(ValueError):
     """A self-conjugate partition was required."""
@@ -67,6 +69,14 @@ def is_self_conjugate(lam) -> bool:
     return tuple(lam) == conjugate(lam)
 
 
+def require_self_conjugate(lam) -> tuple:
+    """lam as a tuple; NotSymmetricError unless it is self-conjugate."""
+    lam = tuple(lam)
+    if conjugate(lam) != lam:
+        raise NotSymmetricError(f"{lam} is not self-conjugate")
+    return lam
+
+
 def contains(lam, mu) -> bool:
     """mu fits inside lam."""
     lam, mu = tuple(lam), tuple(mu)
@@ -94,14 +104,11 @@ def diagonal_hooks(lam):
     Defined for self-conjugate shapes; the hooks are odd, strictly
     decreasing and sum to n.
     """
-    lam = tuple(lam)
-    conj = conjugate(lam)
-    if lam != conj:
-        raise NotSymmetricError(f"{lam} is not self-conjugate")
+    lam = require_self_conjugate(lam)
     d = 0
     while d < len(lam) and lam[d] >= d + 1:
         d += 1
-    h = tuple(lam[i] + conj[i] - 2 * i - 1 for i in range(d))
+    h = tuple(2 * (lam[i] - i) - 1 for i in range(d))
     return h, d
 
 
@@ -125,7 +132,7 @@ def self_conjugate_partitions(n: int) -> tuple:
 # Standard tableaux
 # ---------------------------------------------------------------------------
 
-class StdTableau:
+class StdTableau(Frozen):
     """A standard filling of a partition diagram, rows as tuples.
 
     Entry positions are indexed eagerly so content and axial-distance
@@ -134,17 +141,13 @@ class StdTableau:
 
     __slots__ = ("rows", "shape", "_pos")
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(r) for r in rows)
         shape = tuple(len(r) for r in rows)
         if not is_partition(shape):
             raise ValueError(f"rows do not form a partition shape: {shape}")
-        n = sum(shape)
-        pos = {}
-        for r, row in enumerate(rows, start=1):
-            for c, v in enumerate(row, start=1):
-                pos[v] = (r, c)
-        if sorted(pos) != list(range(1, n + 1)):
+        t = StdTableau._raw(rows)
+        if sorted(t._pos) != list(range(1, sum(shape) + 1)):
             raise ValueError("entries are not a bijection onto 1..n")
         for r, row in enumerate(rows):
             for c in range(len(row) - 1):
@@ -154,12 +157,7 @@ class StdTableau:
                 for c in range(len(rows[r + 1])):
                     if rows[r][c] >= rows[r + 1][c]:
                         raise ValueError("columns must increase")
-        _set_rows(self, rows)
-        _set_shape(self, shape)
-        _set_pos(self, pos)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StdTableau is immutable")
+        return t
 
     @staticmethod
     def _raw(rows: tuple) -> "StdTableau":
@@ -245,7 +243,7 @@ class StdTableau:
         return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in self.rows)
 
 
-# StdTableau.__setattr__ raises, so construction fills the slots through these
+# Frozen refuses assignment, so _raw fills the slots through these
 _set_rows = StdTableau.rows.__set__
 _set_shape = StdTableau.shape.__set__
 _set_pos = StdTableau._pos.__set__
@@ -275,6 +273,7 @@ def std_tableaux(lam) -> tuple:
                 rows[r].pop()
 
     place(1)
+    del place  # it refers to itself through its closure cell, which holds results too
     results.sort(key=StdTableau.row_word)
     return tuple(results)
 

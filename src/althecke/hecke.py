@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .scalars import (
     R_HALF,
     R_ONE,
@@ -42,12 +43,12 @@ class NotAlternatingError(ValueError):
     """An element fixed by the sign-twisted involution was required."""
 
 
-class HeckeElem:
+class HeckeElem(Frozen):
     """Sparse element of the Hecke algebra of S_n over RatFunc scalars."""
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs=None):
+    def __new__(cls, n: int, coeffs=None):
         c = {}
         if coeffs:
             for w, v in coeffs.items():
@@ -57,11 +58,7 @@ class HeckeElem:
                     if w.n != n:
                         raise ValueError(f"permutation degree {w.n} != {n}")
                     c[w] = v
-        _set_n(self, n)
-        _set_coeffs(self, c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeElem is immutable")
+        return HeckeElem._raw(n, c)
 
     @staticmethod
     def _raw(n: int, coeffs: dict) -> "HeckeElem":
@@ -167,7 +164,7 @@ class HeckeElem:
         return f"HeckeElem(n={self.n}, {{{terms}}})"
 
 
-# HeckeElem.__setattr__ raises, so construction fills the slots through these
+# Frozen refuses assignment, so _raw fills the slots through these
 _set_n = HeckeElem.n.__set__
 _set_coeffs = HeckeElem.coeffs.__set__
 

@@ -35,6 +35,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from ._frozen import Frozen
+
+
 class PoleError(ArithmeticError):
     """A numeric specialization hit a vanishing denominator."""
 
@@ -51,7 +54,7 @@ class UndefinedAxialDistanceError(ValueError):
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-class GaussianRational:
+class GaussianRational(Frozen):
     """An exact number a + b*sqrt(-1) with Fraction components."""
 
     __slots__ = ("re", "im")
@@ -59,9 +62,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         _set_re(self, re if isinstance(re, Fraction) else Fraction(re))
         _set_im(self, im if isinstance(im, Fraction) else Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- basic predicates ---------------------------------------------------
     def is_zero(self) -> bool:
@@ -157,7 +157,7 @@ class GaussianRational:
         return f"({self.re}{sign}{ipart})"
 
 
-# Each class's __setattr__ raises, so construction fills its slots through
+# Frozen refuses assignment, so each class's builder fills its slots through
 # the setters of its slot descriptors, bound once after the class
 _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
@@ -170,7 +170,7 @@ G_ONE = GaussianRational(1)
 # Laurent polynomials over the Gaussian rationals
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Sparse Laurent polynomial in q over the Gaussian rationals.
 
     Stored as Gaussian-integer numerators ``_c = {exp: (re, im)}`` over one
@@ -181,9 +181,9 @@ class LaurentPoly:
     :meth:`items`, :meth:`coeff`, :meth:`evaluate` and the printers.
     """
 
-    __slots__ = ("_c", "_d", "_hash")
+    __slots__ = ("_c", "_d")
 
-    def __init__(self, coeffs=None):
+    def __new__(cls, coeffs=None):
         gs = {}
         d = 1
         if coeffs:
@@ -196,12 +196,7 @@ class LaurentPoly:
         # over the lcm of the denominators the numerators are already coprime to d
         c = {e: (g.re.numerator * (d // g.re.denominator),
                  g.im.numerator * (d // g.im.denominator)) for e, g in gs.items()}
-        _set_c(self, c)
-        _set_d(self, d)
-        _set_hash(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        return LaurentPoly._raw(c, d)
 
     @staticmethod
     def _raw(c: dict, d: int = 1) -> "LaurentPoly":
@@ -210,7 +205,6 @@ class LaurentPoly:
         p = object.__new__(LaurentPoly)
         _set_c(p, c)
         _set_d(p, d)
-        _set_hash(p, None)
         return p
 
     # -- constructors ---------------------------------------------------
@@ -358,11 +352,7 @@ class LaurentPoly:
         return self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self._d, tuple(sorted(self._c.items()))))
-            _set_hash(self, h)
-        return h
+        return hash((self._d, tuple(sorted(self._c.items()))))
 
     def __repr__(self):
         return f"LaurentPoly({dict(self.items())!r})"
@@ -397,7 +387,6 @@ class LaurentPoly:
 
 _set_c = LaurentPoly._c.__set__
 _set_d = LaurentPoly._d.__set__
-_set_hash = LaurentPoly._hash.__set__
 
 
 def _lowest(c: dict, d: int) -> LaurentPoly:
@@ -513,7 +502,7 @@ def _poly_exact_div(p: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # Reduced rational functions in q
 # ---------------------------------------------------------------------------
 
-class RatFunc:
+class RatFunc(Frozen):
     """A rational function num/den over Q(sqrt(-1)), stored canonically.
 
     Canonical form: num and den share no polynomial factor, the stored den
@@ -524,19 +513,14 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __new__(cls, num, den=None):
         if isinstance(num, (int, Fraction, GaussianRational)):
             num = LaurentPoly({0: num})
         if den is None:
             den = L_ONE
         elif isinstance(den, (int, Fraction, GaussianRational)):
             den = LaurentPoly({0: den})
-        num, den = _reduce(num, den)
-        _set_num(self, num)
-        _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
+        return RatFunc._make(*_reduce(num, den))
 
     @staticmethod
     def _make(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
@@ -846,7 +830,7 @@ def _add_term(acc: dict, key, v) -> None:
 # The square-root tower
 # ---------------------------------------------------------------------------
 
-class TowerElem:
+class TowerElem(Frozen):
     """Finite sum of square-root monomials y_S with RatFunc coefficients.
 
     Keys are frozensets of generator indices >= 2 (y_1 = 1 is folded into
@@ -855,7 +839,7 @@ class TowerElem:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __new__(cls, terms=None):
         t = {}
         if terms:
             for s, c in terms.items():
@@ -867,10 +851,7 @@ class TowerElem:
                         raise InvalidGeneratorError(
                             f"tower monomial indices must be >= 2, got {sorted(s)}")
                     t[s] = c
-        _set_terms(self, t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TowerElem is immutable")
+        return TowerElem._raw(t)
 
     @staticmethod
     def _raw(t: dict) -> "TowerElem":

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .combinat import NotSymmetricError, conjugate, std_tableaux
+from ._frozen import Frozen
+from .combinat import conjugate, require_self_conjugate, std_tableaux
 from .hecke import HeckeElem, NotAlternatingError, hash_inv, is_alternating
 from .scalars import R_HALF, RatFunc, TowerElem, _add_term, alpha_coeff, q_minus_qinv, qint
 from .symgroup import Permutation
 
 
-class SemiRep:
+class SemiRep(Frozen):
     """Matrices of the generators on the standard-tableau basis."""
 
     __slots__ = ("shape", "basis", "index", "gens", "tau", "self_conjugate")
@@ -43,9 +44,6 @@ class SemiRep:
         _set_tau(self, tau)
         _set_self_conjugate(self, self_conjugate)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SemiRep is immutable")
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -57,7 +55,7 @@ class SemiRep:
         return f"SemiRep(shape={self.shape}, dim={self.dim})"
 
 
-# SemiRep.__setattr__ raises, so construction fills the slots through these
+# Frozen refuses assignment, so __init__ fills the slots through these
 _set_shape = SemiRep.shape.__set__
 _set_basis = SemiRep.basis.__set__
 _set_index = SemiRep.index.__set__
@@ -226,9 +224,7 @@ def twisted_trace(lam, x) -> TowerElem:
     This is the brute-force oracle for every closed twisted-character
     formula; nothing in this function shares code with those formulas.
     """
-    lam = tuple(lam)
-    if conjugate(lam) != lam:
-        raise NotSymmetricError(f"{lam} is not self-conjugate")
+    lam = require_self_conjugate(lam)
     if isinstance(x, Permutation):
         return _perm_traces(lam, x)[1]
     total = TowerElem.zero()
@@ -248,9 +244,7 @@ def char_alt(lam, x: HeckeElem) -> TowerElem:
 def char_split(lam, sign: int, x: HeckeElem) -> TowerElem:
     """One of the two split characters of a self-conjugate shape:
     (char(x) +- twisted_trace(x)) / 2."""
-    lam = tuple(lam)
-    if conjugate(lam) != lam:
-        raise NotSymmetricError(f"{lam} is not self-conjugate")
+    lam = require_self_conjugate(lam)
     if not is_alternating(x):
         raise NotAlternatingError("element is not fixed by the sign-twisted involution")
     plus = char_T(lam, x)

@@ -20,6 +20,7 @@ from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
+from ._frozen import Frozen
 from .combinat import partitions_of
 
 
@@ -35,21 +36,17 @@ class OddPermutationClassError(ValueError):
     """The requested class does not lie in the alternating group."""
 
 
-class Permutation:
+class Permutation(Frozen):
     """A permutation of {1..n} in one-line notation (image of i at slot i-1)."""
 
     __slots__ = ("one_line", "_len")
 
-    def __init__(self, one_line):
+    def __new__(cls, one_line):
         ol = tuple(one_line)
         n = len(ol)
         if sorted(ol) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {ol}")
-        _set_one_line(self, ol)
-        _set_len(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        return Permutation._raw(ol)
 
     @staticmethod
     def _raw(ol: tuple, length: int | None = None) -> "Permutation":
@@ -186,7 +183,7 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
 
-# Permutation.__setattr__ raises, so construction fills the slots through these
+# Frozen refuses assignment, so _raw and length() fill the slots through these
 _set_one_line = Permutation.one_line.__set__
 _set_len = Permutation._len.__set__
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from althecke.combinat import (
@@ -218,3 +220,17 @@ def test_parse_partition():
     for text in ("2,3", "0", "3,0,0", "2,-1", "1,2,1"):
         with pytest.raises(ValueError):
             parse_partition(text)
+
+
+def test_std_tableaux_leaves_no_reference_cycle():
+    # the lists of the placement walk are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for lam in ((3, 2, 1), (4, 2, 1), (3, 3, 1)):
+            std_tableaux.cache_clear()
+            std_tableaux(lam)
+        std_tableaux.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -43,6 +43,16 @@ def test_no_slot_can_be_assigned(value):
         assert getattr(value, name, None) is before
 
 
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_no_slot_can_be_deleted(value):
+    message = f"^{type(value).__name__} is immutable$"
+    for name in type(value).__slots__ + ("unknown",):
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
+
+
 @pytest.mark.parametrize("public, raw", PAIRS.values(), ids=PAIRS.keys())
 def test_unchecked_builders_give_the_public_value(public, raw):
     a, b = public(), raw()
