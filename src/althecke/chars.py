@@ -89,11 +89,14 @@ from .scalars import (
     tower_to_obj,
 )
 from .symgroup import (
+    LABEL_MARKS,
     Drop2Step,
     FlatStep,
     Permutation,
     alt_classes,
     an_class_of,
+    class_label,
+    column_plan,
     from_word,
     increasing_word,
     is_min_length,
@@ -199,14 +202,26 @@ def technical_partner(t, kappa):
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _closed_value(lam, kappa, sign: int) -> TowerElem:
+def _closed_unit(lam, kappa, sign: int) -> tuple:
+    """The closed-form unit sqrt(-1)^k q^-m y_ys of a self-conjugate shape
+    at a composition of its hook type, as (m, k, ys), ys the hooks >= 2 in
+    increasing order."""
     h, d = diagonal_hooks(lam)
     m = (sum(lam) - d) // 2
     # each sign flip is a factor sqrt(-1)^2
     flips = (sign < 0 and m % 2 == 1) + (eps_kappa(kappa) < 0)
-    unit = RatFunc.from_laurent(_lowest({-m: _I_POWERS[(m + 2 * flips) % 4]}, 1))
+    return m, (m + 2 * flips) % 4, tuple(k for k in reversed(h) if k >= 2)
+
+
+def _unit_elem(unit, den: int = 1) -> TowerElem:
+    """The unit (m, k, ys) of :func:`_closed_unit` over den as a tower element."""
+    m, k, ys = unit
     # the diagonal hooks are distinct, so their radicals form one monomial
-    return TowerElem({frozenset(k for k in h if k >= 2): unit})
+    return TowerElem._raw({frozenset(ys): RatFunc.from_laurent(_lowest({-m: _I_POWERS[k]}, den))})
+
+
+def _closed_value(lam, kappa, sign: int) -> TowerElem:
+    return _unit_elem(_closed_unit(lam, kappa, sign))
 
 
 def resolve_sigma() -> int:
@@ -565,15 +580,18 @@ def split_char_values(lam, w: Permutation, basis: str = "A",
 # Character tables
 # ---------------------------------------------------------------------------
 
+def row_label(shape, kind: str) -> str:
+    """The label of a table row, e.g. ``[3,1]`` or ``[2,2]+``."""
+    return f"[{','.join(map(str, shape))}]{LABEL_MARKS[kind]}"
+
+
 class TableRow(NamedTuple):
     kind: str  # "pair" | "plus" | "minus"
     shape: tuple
     cells: tuple  # TowerElem per column
 
     def label(self) -> str:
-        base = ",".join(str(p) for p in self.shape)
-        mark = {"pair": "", "plus": "+", "minus": "-"}[self.kind]
-        return f"[{base}]{mark}"
+        return row_label(self.shape, self.kind)
 
 
 class CharTable(NamedTuple):
@@ -628,9 +646,11 @@ def table_rows(n: int):
 
 
 def _packed_table(n: int):
-    """(columns, bits, rows) of the degree-n table, a row (kind, shape, units,
-    cells) and a cell (x, e, sign): Ram's packed x read by :func:`_read` at
-    q-offset e over 2, plus units[sign] = sign * u/2 (indexed by -1, 0, 1).
+    """(columns, bits, rows) of the degree-n table: the :func:`column_plan`,
+    and a row (kind, shape, unit, cells) per :func:`table_rows` entry, with
+    a cell (x, e, sign) per column.  The cell is Ram's packed x read by
+    :func:`_read` at q-offset e over 2, plus sign * u/2 for the closed-form
+    unit u = (m, k, ys) of :func:`_closed_unit` (None on a pair row).
 
     A pair cell is the mean of the plain values, Ram's rule at the column's
     cycle type, of the shape and its conjugate.  A split row of shape lam,
@@ -640,46 +660,67 @@ def _packed_table(n: int):
     folds to zero), zero elsewhere; the minus row subtracts it."""
     if n < 2:
         raise ValueError("character tables need degree at least 2")
-    cols = tuple(alt_classes(n))
+    cols = column_plan(n)
     at = {}  # cycle type -> the indices of its columns
-    for j, (cc, _) in enumerate(cols):
-        at.setdefault(cc.cycle_type, []).append(j)
-    rows, reads, zero = [], [], TowerElem.zero()  # reads: (lam, lam' or None, hook type)
+    for j, (kappa, _, _) in enumerate(cols):
+        at.setdefault(kappa, []).append(j)
+    rows, reads = [], []  # reads: (lam, lam' or None, hook type)
     for kind, lam in table_rows(n):
-        h = None if kind == "pair" else diagonal_hooks(lam)[0]
-        if kind == "plus":  # the minus row of lam follows with the same u
-            u = _closed_value(lam, h, _sign("oracle")).scale(R_HALF)
-        rows.append((kind, lam, (zero, u, -u) if h else (zero,), [None] * len(cols)))
+        h = unit = None
+        if kind != "pair":
+            h = diagonal_hooks(lam)[0]
+            unit = _closed_unit(lam, h, _sign("oracle"))
+        rows.append((kind, lam, unit, [None] * len(cols)))
         reads.append((lam, conjugate(lam) if h is None else None, h))
     for kappa, values, bits, e in _ram_packed(at):
         get = values.get
         for (kind, _, _, cells), (lam, mu, h) in zip(rows, reads):
             x = get(lam, 0) if mu is None else get(lam, 0) + get(mu, 0)
             for j in at[kappa]:  # at the hook type: +u/2 where the row and class signs agree
-                cells[j] = (x, e, 0 if kappa != h else 1 if cols[j][0].alt_sign == kind else -1)
+                cells[j] = (x, e, 0 if kappa != h else 1 if cols[j][1] == kind else -1)
     return cols, bits, rows
 
 
 def char_table(n: int) -> CharTable:
     """The character table of degree n: the cells of :func:`_packed_table` as tower elements."""
-    cols, bits, rows = _packed_table(n)
-    return CharTable(n, resolve_sigma(), cols, tuple(
-        TableRow(kind, lam, tuple(_read(x, bits, e, 2) + units[s] for x, e, s in cells))
-        for kind, lam, units, cells in rows))
+    _, bits, rows = _packed_table(n)
+    table = []
+    for kind, lam, unit, cells in rows:
+        half = _unit_elem(unit, 2) if unit else TowerElem.zero()
+        units = (TowerElem.zero(), half, -half)  # indexed by the cell's sign 0, 1, -1
+        table.append(TableRow(kind, lam, tuple(
+            _read(x, bits, e, 2) + units[s] for x, e, s in cells)))
+    return CharTable(n, resolve_sigma(), tuple(alt_classes(n)), tuple(table))
+
+
+def _half_unit_terms(unit) -> tuple:
+    """The JSON terms [] and [+u/2], [-u/2] of :func:`tower_to_obj`, indexed
+    by a cell's sign 0, 1, -1, for the closed-form unit (m, k, ys)."""
+    m, k, ys = unit
+    re, im = _I_POWERS[k]
+
+    def term(re, im):  # a unit over 2 is c/2 in lowest terms, zero 0/1
+        coeff = f"{re},{2 if re else 1},{im},{2 if im else 1}"
+        return [f'{{"den":[[0,1,1,0,1]],"num":[[{-m},{coeff}]],"ys":[{",".join(map(str, ys))}]}}']
+
+    return [], term(re, im), term(-re, -im)
 
 
 def table_json(n: int):
-    """``char_table(n).to_json()`` and a newline, one row at a time: each distinct packed
-    value of a row (or of a plus and minus pair of rows) once from its balanced digits,
-    then each cell adds the radical of its row."""
+    """``char_table(n).to_json()`` and a newline, one row at a time from the
+    integers of :func:`_packed_table`: the header and labels as strings,
+    each distinct packed value of a row (or of a plus and minus pair of
+    rows) once from its balanced digits, then each cell adds the radical
+    term of its row's closed-form unit."""
     cols, bits, rows = _packed_table(n)
-    yield canonical_json({"column_reps": [list(rep.one_line) for _, rep in cols],
-                          "columns": [cc.label() for cc, _ in cols],
-                          "convention": "oracle", "n": n})[:-1] + ',"rows":['
-    for i, (kind, lam, units, cells) in enumerate(rows):
-        if kind != "minus":  # a minus row repeats the values of the plus row before it
+    # labels hold digits, commas, brackets and a sign: no JSON escapes
+    yield ('{"column_reps":[' + ",".join(f"[{','.join(map(str, ol))}]" for _, _, ol in cols)
+           + '],"columns":[' + ",".join(f'"{class_label(kappa, sign)}"' for kappa, sign, _ in cols)
+           + f'],"convention":"oracle","n":{n},"rows":[')
+    for i, (kind, lam, unit, cells) in enumerate(rows):
+        if kind != "minus":  # a minus row repeats the values and unit of the plus row before it
             numeric = {}  # (x, e) -> its terms, c/2 in lowest terms
-        radical = [[]] + [[canonical_json(tower_to_obj(u)["terms"][0])] for u in units[1:]]
+            radical = _half_unit_terms(unit) if unit else ([],)
         frags = []
         for x, e, sign in cells:
             terms = numeric.get((x, e))
@@ -688,9 +729,9 @@ def table_json(n: int):
                     f"[{k},{c},2,0,1]" if c & 1 else f"[{k},{c >> 1},1,0,1]"
                     for k, c in _digits(x, bits, e)) + '],"ys":[]}'] if x else []
             frags.append('{"terms":[' + ",".join(terms + radical[sign]) + "]}")
-        label = TableRow(kind, lam, ()).label()  # digits, commas, brackets, a sign: no escapes
         yield ("," if i else "") + '{"cells":[' + ",".join(frags) + (
-            f'],"kind":"{kind}","label":"{label}","shape":[{",".join(map(str, lam))}]}}')
+            f'],"kind":"{kind}","label":"{row_label(lam, kind)}",'
+            f'"shape":[{",".join(map(str, lam))}]}}')
     yield f'],"sigma":{resolve_sigma()}}}\n'
 
 

@@ -15,12 +15,14 @@ and ``table`` keeps no on-disk state.  Every value document carries the
 sign convention; only ``char`` and ``tau-char`` read ``--convention``.
 Words and shapes are comma-separated and 1-based on the command line.
 A call builds and runs only the parser of the command it names; the full
-parser, built from the same table, serves help and usage errors.
+parser, built from the same table, serves help and usage errors.  A reader
+that closes stdout early ends a command with status 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -333,10 +335,17 @@ def main(argv=None) -> int:
     else:  # help, and argv that does not start with a command
         args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command][2](args)
+        code = COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
     except (ValueError, KeyError) as err:
         parser = build_parser()
         parser.exit(2, f"error: {err}\n{parser.format_usage()}")
+    except BrokenPipeError:
+        # the reader stopped early: what is still buffered goes to devnull,
+        # so the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

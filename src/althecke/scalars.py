@@ -59,9 +59,17 @@ class GaussianRational(Frozen):
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        _set_re(self, re if isinstance(re, Fraction) else Fraction(re))
-        _set_im(self, im if isinstance(im, Fraction) else Fraction(im))
+    def __new__(cls, re=0, im=0):
+        return GaussianRational._raw(re if isinstance(re, Fraction) else Fraction(re),
+                                     im if isinstance(im, Fraction) else Fraction(im))
+
+    @staticmethod
+    def _raw(re: Fraction, im: Fraction) -> "GaussianRational":
+        """Build from two Fractions without conversion."""
+        g = object.__new__(GaussianRational)
+        _set_re(g, re)
+        _set_im(g, im)
+        return g
 
     # -- basic predicates ---------------------------------------------------
     def is_zero(self) -> bool:
@@ -83,7 +91,7 @@ class GaussianRational(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational._raw(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -91,7 +99,7 @@ class GaussianRational(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return GaussianRational._raw(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -100,14 +108,14 @@ class GaussianRational(Frozen):
         return o - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._raw(-self.re, -self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        return GaussianRational._raw(self.re * o.re - self.im * o.im,
+                                     self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -115,7 +123,7 @@ class GaussianRational(Frozen):
         nrm = self.re * self.re + self.im * self.im
         if not nrm:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / nrm, -self.im / nrm)
+        return GaussianRational._raw(self.re / nrm, -self.im / nrm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -124,7 +132,7 @@ class GaussianRational(Frozen):
         return self * o.inverse()
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._raw(self.re, -self.im)
 
     # -- structure ----------------------------------------------------------
     def __eq__(self, other):
@@ -223,7 +231,7 @@ class LaurentPoly(Frozen):
     # -- inspection -------------------------------------------------------
     def _gauss(self, pair) -> GaussianRational:
         d = self._d
-        return GaussianRational(Fraction(pair[0], d), Fraction(pair[1], d))
+        return GaussianRational._raw(Fraction(pair[0], d), Fraction(pair[1], d))
 
     def items(self):
         return [(e, self._gauss(c)) for e, c in sorted(self._c.items())]

@@ -36,13 +36,19 @@ class SemiRep(Frozen):
 
     __slots__ = ("shape", "basis", "index", "gens", "tau", "self_conjugate")
 
-    def __init__(self, shape, basis, index, gens, tau, self_conjugate):
-        _set_shape(self, shape)
-        _set_basis(self, basis)
-        _set_index(self, index)
-        _set_gens(self, gens)
-        _set_tau(self, tau)
-        _set_self_conjugate(self, self_conjugate)
+    def __new__(cls, shape, basis, index, gens, tau, self_conjugate):
+        return SemiRep._raw(shape, basis, index, gens, tau, self_conjugate)
+
+    @staticmethod
+    def _raw(shape, basis, index, gens, tau, self_conjugate) -> "SemiRep":
+        rep = object.__new__(SemiRep)
+        _set_shape(rep, shape)
+        _set_basis(rep, basis)
+        _set_index(rep, index)
+        _set_gens(rep, gens)
+        _set_tau(rep, tau)
+        _set_self_conjugate(rep, self_conjugate)
+        return rep
 
     @property
     def dim(self) -> int:
@@ -55,7 +61,7 @@ class SemiRep(Frozen):
         return f"SemiRep(shape={self.shape}, dim={self.dim})"
 
 
-# Frozen refuses assignment, so __init__ fills the slots through these
+# Frozen refuses assignment, so _raw fills the slots through these
 _set_shape = SemiRep.shape.__set__
 _set_basis = SemiRep.basis.__set__
 _set_index = SemiRep.index.__set__

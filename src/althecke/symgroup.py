@@ -203,18 +203,23 @@ def from_word(word, n: int) -> Permutation:
     return w
 
 
-def w_of_composition(kappa) -> Permutation:
-    """The product of consecutive cycles (1..k1)(k1+1..k1+k2)... for kappa."""
-    kappa = tuple(kappa)
-    if any(k < 1 for k in kappa):
-        raise MalformedCompositionError(f"composition parts must be positive: {kappa}")
+def _cycles_one_line(kappa: tuple) -> tuple:
+    """The one-line tuple of w_of_composition(kappa)."""
     ol = []
     start = 1
     for k in kappa:
         ol.extend(range(start + 1, start + k))
         ol.append(start)
         start += k
-    return Permutation._raw(tuple(ol), len(ol) - len(kappa))
+    return tuple(ol)
+
+
+def w_of_composition(kappa) -> Permutation:
+    """The product of consecutive cycles (1..k1)(k1+1..k1+k2)... for kappa."""
+    kappa = tuple(kappa)
+    if any(k < 1 for k in kappa):
+        raise MalformedCompositionError(f"composition parts must be positive: {kappa}")
+    return Permutation._raw(_cycles_one_line(kappa), sum(kappa) - len(kappa))
 
 
 def composition_of(w: Permutation):
@@ -279,19 +284,33 @@ class ConjClass(_ConjClassFields):
         return super().__new__(cls, cycle_type, alt_sign)
 
     def label(self) -> str:
-        base = ",".join(str(k) for k in self.cycle_type)
-        if self.alt_sign == "whole":
-            return f"({base})"
-        return f"({base}){'+' if self.alt_sign == 'plus' else '-'}"
+        return class_label(self.cycle_type, self.alt_sign)
+
+
+#: the mark after a label: none for a whole class (or a pair row), else the split sign
+LABEL_MARKS = {"whole": "", "pair": "", "plus": "+", "minus": "-"}
+
+
+def class_label(cycle_type, alt_sign: str) -> str:
+    """The label of an alternating class, e.g. ``(3,1,1)`` or ``(5)+``."""
+    return f"({','.join(map(str, cycle_type))}){LABEL_MARKS[alt_sign]}"
+
+
+def _minus_one_line(kappa: tuple, plus: tuple) -> tuple:
+    """s_r w+ s_r for the one-line tuple w+ of a split type, where r - 1 is
+    the total size of the leading parts equal to 1 (for a partition, r == 1
+    whenever some part exceeds 1): the values r, r+1 and then the entries
+    in positions r, r+1 swap."""
+    r = next(i for i, k in enumerate(kappa) if k > 1) + 1
+    ol = [r + 1 if v == r else r if v == r + 1 else v for v in plus]
+    ol[r - 1], ol[r] = ol[r], ol[r - 1]
+    return tuple(ol)
 
 
 def split_class_reps(kappa):
     """Minimal length representatives (w+, w-) of an even class; w- is None
-    for non-split classes.
-
-    w- is s_r w+ s_r where r - 1 is the total size of the leading parts
-    equal to 1 (for a partition, r == 1 whenever some part exceeds 1).
-    """
+    for non-split classes, and otherwise :func:`_minus_one_line` of w+,
+    of the same length."""
     kappa = tuple(kappa)
     n = sum(kappa)
     if (n - len(kappa)) % 2:
@@ -299,10 +318,7 @@ def split_class_reps(kappa):
     wplus = w_of_composition(kappa)
     if not is_split_type(kappa):
         return wplus, None
-    d = next(i for i, k in enumerate(kappa) if k > 1)
-    r = sum(kappa[:d]) + 1
-    wminus = wplus.conj_s(r)
-    return wplus, wminus
+    return wplus, wplus._moved(_minus_one_line(kappa, wplus.one_line), 0)
 
 
 def an_classes_partitions(n: int):
@@ -310,22 +326,27 @@ def an_classes_partitions(n: int):
     return sorted(kappa for kappa in partitions_of(n) if (n - len(kappa)) % 2 == 0)
 
 
-def alt_classes(n: int):
-    """(ConjClass, minimal length representative) for every alternating
-    conjugacy class; split classes contribute a plus and a minus entry."""
+def column_plan(n: int) -> list:
+    """(cycle type, alt sign, one-line tuple) of the minimal length
+    representative of every alternating conjugacy class: a split class
+    gives a plus and a minus entry, the minus one :func:`_minus_one_line`."""
     if n < 0:
         raise ValueError("negative degree")
-    if n < 2:
-        return [(ConjClass((1,) * n), identity(n))]
-    out = []
+    plan = []
     for kappa in an_classes_partitions(n):
-        wplus, wminus = split_class_reps(kappa)
-        if wminus is None:
-            out.append((ConjClass(kappa), wplus))
+        plus = _cycles_one_line(kappa)
+        if is_split_type(kappa):
+            plan += [(kappa, "plus", plus), (kappa, "minus", _minus_one_line(kappa, plus))]
         else:
-            out.append((ConjClass(kappa, "plus"), wplus))
-            out.append((ConjClass(kappa, "minus"), wminus))
-    return out
+            plan.append((kappa, "whole", plus))
+    return plan
+
+
+def alt_classes(n: int):
+    """(ConjClass, minimal length representative) for every entry of
+    :func:`column_plan`."""
+    return [(ConjClass(kappa, sign), Permutation._raw(ol, n - len(kappa)))
+            for kappa, sign, ol in column_plan(n)]
 
 
 def an_class_of(w: Permutation) -> ConjClass:

@@ -77,14 +77,19 @@ def test_table_json_is_the_canonical_table_document(n):
 def test_table_json_forms_no_tower_element(monkeypatch):
     # the JSON cells are rendered from Ram's packed values: no cell is read
     # into a tower element and no table document is built
-    from althecke import chars, cli
+    from althecke import chars, cli, symgroup
+    from althecke.scalars import TowerElem
 
     def forbidden(*args, **kwargs):
         raise AssertionError("table JSON went through the tower-element table")
 
-    for mod, name in ((chars, "_read"), (chars, "char_table"), (cli, "char_table")):
+    for mod, name in ((chars, "_read"), (chars, "char_table"), (cli, "char_table"),
+                      (chars, "_closed_value"), (chars, "alt_classes"),
+                      (symgroup, "alt_classes")):
         monkeypatch.setattr(mod, name, forbidden)
     monkeypatch.setattr(chars.CharTable, "to_obj", forbidden)
+    # nor is a column a class object, or a radical a scaled tower element
+    monkeypatch.setattr(TowerElem, "scale", forbidden)
     code, out = run_cli(["table", "-n", "9"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256["9", "json"]
@@ -437,6 +442,25 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["table", "-n", "9"],
+                                  ["tau-char", "--shape", "2,1", "--word", "1,2"]])
+def test_a_closed_pipe_ends_a_command_without_a_traceback(argv):
+    # the reader is gone before the command writes, as with `| head -c 0`
+    import althecke
+
+    src = str(Path(althecke.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "althecke.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode != 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 """Every value class is immutable, and its unchecked builders (``_raw`` /
 ``_make``) give the same values as its public constructor."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -51,6 +53,31 @@ def test_no_slot_can_be_deleted(value):
         with pytest.raises(AttributeError, match=message):
             delattr(value, name)
         assert getattr(value, name, None) is before
+
+
+def _slots(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_hold_the_same_slot_values(value, duplicate):
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    assert _slots(twin) == _slots(value)
+    if type(value).__eq__ is not object.__eq__:  # SemiRep compares by identity
+        assert twin == value and hash(twin) == hash(value)
+    with pytest.raises(AttributeError):
+        setattr(twin, type(value).__slots__[0], None)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_init_does_not_fill_the_slots_again(value):
+    before = _slots(value)
+    value.__init__(*before[1:], *before[:1])  # each slot offered the next one's value
+    assert all(now is then for now, then in zip(_slots(value), before))
 
 
 @pytest.mark.parametrize("public, raw", PAIRS.values(), ids=PAIRS.keys())
