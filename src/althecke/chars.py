@@ -202,12 +202,11 @@ def technical_partner(t, kappa):
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _closed_unit(lam, kappa, sign: int) -> tuple:
+def _closed_unit(h: tuple, kappa, sign: int) -> tuple:
     """The closed-form unit sqrt(-1)^k q^-m y_ys of a self-conjugate shape
-    at a composition of its hook type, as (m, k, ys), ys the hooks >= 2 in
-    increasing order."""
-    h, d = diagonal_hooks(lam)
-    m = (sum(lam) - d) // 2
+    with diagonal hooks h at a composition of h, as (m, k, ys), ys the
+    hooks >= 2 in increasing order."""
+    m = (sum(h) - len(h)) // 2
     # each sign flip is a factor sqrt(-1)^2
     flips = (sign < 0 and m % 2 == 1) + (eps_kappa(kappa) < 0)
     return m, (m + 2 * flips) % 4, tuple(k for k in reversed(h) if k >= 2)
@@ -220,8 +219,8 @@ def _unit_elem(unit, den: int = 1) -> TowerElem:
     return TowerElem._raw({frozenset(ys): RatFunc.from_laurent(_lowest({-m: _I_POWERS[k]}, den))})
 
 
-def _closed_value(lam, kappa, sign: int) -> TowerElem:
-    return _unit_elem(_closed_unit(lam, kappa, sign))
+def _closed_value(h: tuple, kappa, sign: int) -> TowerElem:
+    return _unit_elem(_closed_unit(h, kappa, sign))
 
 
 def resolve_sigma() -> int:
@@ -247,12 +246,11 @@ def twisted_char_closed(lam, kappa, convention: str = "oracle") -> TowerElem:
     ``convention="paper"`` (the literal published constant) and
     s = :func:`resolve_sigma` under ``convention="oracle"``.
     """
-    lam = tuple(lam)
-    h, d = diagonal_hooks(lam)
+    h, _ = diagonal_hooks(lam)
     kappa = tuple(kappa)
     if tuple(sorted(kappa, reverse=True)) != h:
         return TowerElem.zero()
-    return _closed_value(lam, kappa, _sign(convention))
+    return _closed_value(h, kappa, _sign(convention))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ def twisted_char(lam, w: Permutation, reduction=None, convention: str = "oracle"
     a = dict(coeffs).get(h, R_ZERO)
     if not a:
         return TowerElem.zero(), a
-    return _closed_value(lam, h, _sign(convention)).scale(a), a
+    return _closed_value(h, h, _sign(convention)).scale(a), a
 
 
 def delta_coefficients(r: RatFunc):
@@ -391,13 +389,15 @@ def _strips(nu: tuple, r: int, base: int) -> list:
     block, so lam_i <= nu_(i-1) + 1 in every row i > 1.  Of its non-empty
     rows, ``links`` share a column with the row above (nu_(i-1) < lam_i), so
     it has cc = rows - links components and height ht = links; Ram's weight
-    (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1), T'_i = q T_i and Q = q^2, is at base.
-    A strip of size 1 is an addable corner, the new row too: weight 1, no walk."""
+    (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1), T'_i = q T_i and Q = q^2, is at base."""
+    if r == 1:  # the addable corners, of weight 1, lowest row first as in the walk
+        out = [(nu + (1,), 1)]
+        for i in range(len(nu) - 1, -1, -1):
+            if i == 0 or nu[i - 1] > nu[i]:
+                out.append((nu[:i] + (nu[i] + 1,) + nu[i + 1:], 1))
+        return out
     old = nu + (0,) * r
     above = (old[0] + r,) + old  # nu_(i-1) over row i; row 0 may take all r cells
-    if r == 1:  # in the walk's order, the lowest row first
-        return [(nu[:i] + (old[i] + 1,) + nu[i + 1:], 1)
-                for i in range(len(nu), -1, -1) if old[i] < above[i]]
     out = []
 
     def walk(i, prev, left, lam, rows, links):
@@ -442,10 +442,11 @@ def _ram_packed(types, bound=None):
             for nu, x in shapes.items():
                 found = strips.get((nu, r))
                 if found is None:
-                    found = strips[nu, r] = [s for s in _strips(nu, r, 1 << bits)
-                                             if bound is None or contains(bound, s[0])]
-                for lam, weight in found:
-                    grown[lam] = get(lam, 0) + x * weight
+                    found = strips[nu, r] = _strips(nu, r, 1 << bits)
+                    if bound is not None:
+                        found = strips[nu, r] = [s for s in found if contains(bound, s[0])]
+                for lam, weight in found:  # a unit step (r = 1) adds with no product
+                    grown[lam] = get(lam, 0) + (x if weight == 1 else x * weight)
             trail.append((prefix + (r,), grown))
         yield kappa, trail[-1][1], bits, len(kappa) - sum(kappa)
 
@@ -640,8 +641,7 @@ def table_rows(n: int):
         if lam > mu:
             plan.append(("pair", lam))
         elif lam == mu:
-            plan.append(("plus", lam))
-            plan.append(("minus", lam))
+            plan += [("plus", lam), ("minus", lam)]
     return plan
 
 
@@ -666,12 +666,13 @@ def _packed_table(n: int):
         at.setdefault(kappa, []).append(j)
     rows, reads = [], []  # reads: (lam, lam' or None, hook type)
     for kind, lam in table_rows(n):
-        h = unit = None
-        if kind != "pair":
-            h = diagonal_hooks(lam)[0]
-            unit = _closed_unit(lam, h, _sign("oracle"))
+        if kind == "pair":
+            mu, h, unit = conjugate(lam), None, None
+        elif kind == "plus":  # the minus row after it keeps its hooks and unit
+            mu, h = None, diagonal_hooks(lam)[0]
+            unit = _closed_unit(h, h, _sign("oracle"))
         rows.append((kind, lam, unit, [None] * len(cols)))
-        reads.append((lam, conjugate(lam) if h is None else None, h))
+        reads.append((lam, mu, h))
     for kappa, values, bits, e in _ram_packed(at):
         get = values.get
         for (kind, _, _, cells), (lam, mu, h) in zip(rows, reads):
@@ -694,42 +695,47 @@ def char_table(n: int) -> CharTable:
 
 
 def _half_unit_terms(unit) -> tuple:
-    """The JSON terms [] and [+u/2], [-u/2] of :func:`tower_to_obj`, indexed
-    by a cell's sign 0, 1, -1, for the closed-form unit (m, k, ys)."""
+    """No JSON term, and the terms +u/2 and -u/2 of :func:`tower_to_obj`, each
+    after a comma, indexed by a cell's sign 0, 1, -1, for the unit (m, k, ys)."""
     m, k, ys = unit
     re, im = _I_POWERS[k]
 
     def term(re, im):  # a unit over 2 is c/2 in lowest terms, zero 0/1
         coeff = f"{re},{2 if re else 1},{im},{2 if im else 1}"
-        return [f'{{"den":[[0,1,1,0,1]],"num":[[{-m},{coeff}]],"ys":[{",".join(map(str, ys))}]}}']
+        return f',{{"den":[[0,1,1,0,1]],"num":[[{-m},{coeff}]],"ys":[{",".join(map(str, ys))}]}}'
 
-    return [], term(re, im), term(-re, -im)
+    return "", term(re, im), term(-re, -im)
 
 
 def table_json(n: int):
     """``char_table(n).to_json()`` and a newline, one row at a time from the
     integers of :func:`_packed_table`: the header and labels as strings,
-    each distinct packed value of a row (or of a plus and minus pair of
-    rows) once from its balanced digits, then each cell adds the radical
+    and each distinct cell of a row (or of a plus and minus pair of rows)
+    once, from the balanced digits of its packed value and the radical
     term of its row's closed-form unit."""
     cols, bits, rows = _packed_table(n)
     # labels hold digits, commas, brackets and a sign: no JSON escapes
     yield ('{"column_reps":[' + ",".join(f"[{','.join(map(str, ol))}]" for _, _, ol in cols)
            + '],"columns":[' + ",".join(f'"{class_label(kappa, sign)}"' for kappa, sign, _ in cols)
            + f'],"convention":"oracle","n":{n},"rows":[')
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
     for i, (kind, lam, unit, cells) in enumerate(rows):
         if kind != "minus":  # a minus row repeats the values and unit of the plus row before it
-            numeric = {}  # (x, e) -> its terms, c/2 in lowest terms
-            radical = _half_unit_terms(unit) if unit else ([],)
-        frags = []
-        for x, e, sign in cells:
-            terms = numeric.get((x, e))
-            if terms is None:
-                terms = numeric[x, e] = ['{"den":[[0,1,1,0,1]],"num":[' + ",".join(
-                    f"[{k},{c},2,0,1]" if c & 1 else f"[{k},{c >> 1},1,0,1]"
-                    for k, c in _digits(x, bits, e)) + '],"ys":[]}'] if x else []
-            frags.append('{"terms":[' + ",".join(terms + radical[sign]) + "]}")
-        yield ("," if i else "") + '{"cells":[' + ",".join(frags) + (
+            done = {}  # cell -> its JSON
+            rads = _half_unit_terms(unit) if unit else ("",)
+        for cell in cells:
+            if cell not in done:
+                x, e, sign = cell
+                nums = []
+                while x:  # the loop of _digits, inlined; c/2 in lowest terms
+                    x += half
+                    c, x = (x & mask) - half, x >> bits
+                    if c:
+                        nums.append(f"[{e},{c},2,0,1]" if c & 1 else f"[{e},{c >> 1},1,0,1]")
+                    e += 2
+                num = '{"den":[[0,1,1,0,1]],"num":[' + ",".join(nums) + '],"ys":[]}' if nums else ""
+                done[cell] = '{"terms":[' + (num + rads[sign] if num else rads[sign][1:]) + "]}"
+        yield ("," if i else "") + '{"cells":[' + ",".join([done[cell] for cell in cells]) + (
             f'],"kind":"{kind}","label":"{row_label(lam, kind)}",'
             f'"shape":[{",".join(map(str, lam))}]}}')
     yield f'],"sigma":{resolve_sigma()}}}\n'

@@ -26,17 +26,17 @@ class BadIndexError(ValueError):
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple:
-    """All partitions of n in lexicographically descending order."""
-    return tuple(_gen_partitions(n, n))
-
-
-def _gen_partitions(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
+    """All partitions of n in lexicographically descending order: the last
+    part above 1 drops by one, and greedy parts no larger refill the rest."""
+    lam = (n,) if n else ()
+    out = [lam]
+    while lam and lam[0] > 1:
+        i = len(lam) - lam.count(1) - 1  # the parts are weakly decreasing
+        v = lam[i] - 1
+        fill, rest = divmod(len(lam) - i, v)
+        lam = lam[:i] + (v,) * (fill + 1) + ((rest,) if rest else ())
+        out.append(lam)
+    return tuple(out)
 
 
 def compositions_of(n: int) -> list:
@@ -104,12 +104,9 @@ def diagonal_hooks(lam):
     Defined for self-conjugate shapes; the hooks are odd, strictly
     decreasing and sum to n.
     """
-    lam = require_self_conjugate(lam)
-    d = 0
-    while d < len(lam) and lam[d] >= d + 1:
-        d += 1
-    h = tuple(2 * (lam[i] - i) - 1 for i in range(d))
-    return h, d
+    # lam_i - i falls as i grows, so the diagonal rows are those with lam_i > i
+    h = tuple(2 * (p - i) - 1 for i, p in enumerate(require_self_conjugate(lam)) if p > i)
+    return h, len(h)
 
 
 def hook_length_count(lam) -> int:

@@ -321,21 +321,18 @@ def split_class_reps(kappa):
     return wplus, wplus._moved(_minus_one_line(kappa, wplus.one_line), 0)
 
 
-def an_classes_partitions(n: int):
-    """Partitions kappa of n with w_kappa even, in increasing lex order."""
-    return sorted(kappa for kappa in partitions_of(n) if (n - len(kappa)) % 2 == 0)
-
-
 def column_plan(n: int) -> list:
     """(cycle type, alt sign, one-line tuple) of the minimal length
-    representative of every alternating conjugacy class: a split class
-    gives a plus and a minus entry, the minus one :func:`_minus_one_line`."""
+    representative of every alternating conjugacy class, in increasing
+    lex order: a split class gives plus, then minus :func:`_minus_one_line`."""
     if n < 0:
         raise ValueError("negative degree")
     plan = []
-    for kappa in an_classes_partitions(n):
+    for kappa in reversed(partitions_of(n)):
+        if (n - len(kappa)) % 2:
+            continue
         plus = _cycles_one_line(kappa)
-        if is_split_type(kappa):
+        if n > 1 and all(k % 2 for k in kappa) and len(set(kappa)) == len(kappa):  # is_split_type
             plan += [(kappa, "plus", plus), (kappa, "minus", _minus_one_line(kappa, plus))]
         else:
             plan.append((kappa, "whole", plus))

@@ -716,6 +716,25 @@ def test_ram_packing_width_holds():
                 assert list(got) == want, (n, kappa, group)
 
 
+def test_ram_values_commute_with_conjugation():
+    # conjugating the shape is the sign twist of the algebra: at a minimal
+    # w_kappa, l(w) = n - len(kappa), chi_lam'(T_w) is (-1)^l(w) times
+    # chi_lam(T_w) with q -> q^-1; read from one pass of Ram's rule over all
+    # partitions of n, a slip in a strip weight's sign or Q-power, or in the
+    # packing, breaks the equality
+    pairs = 0
+    for n in range(1, 11):
+        shapes = partitions_of(n)
+        for kappa, values, bits, e in chars._ram_packed(shapes):
+            sign = -1 if (n - len(kappa)) % 2 else 1
+            for lam in shapes:
+                value = dict(chars._digits(values.get(lam, 0), bits, e))
+                dual = dict(chars._digits(values.get(conjugate(lam), 0), bits, e))
+                assert dual == {-k: sign * c for k, c in value.items()}, (lam, kappa)
+                pairs += 1
+    assert pairs == 3582
+
+
 # The Schur relations at generic q (Geck-Pfeiffer 2000, generic degrees and
 # Schur elements), in exact Laurent arithmetic.  With Q = q^2, n(lam) =
 # sum((i - 1) lam_i) and the generic degree D_lam = Q^n(lam) prod_(i<=n)(Q^i - 1)

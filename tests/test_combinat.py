@@ -10,6 +10,7 @@ from althecke.combinat import (
     diagonal_hooks,
     eps_kappa,
     hook_length_count,
+    is_partition,
     is_self_conjugate,
     is_w_transposable,
     parse_partition,
@@ -29,6 +30,17 @@ def test_partitions_of():
     assert len(partitions_of(4)) == 5
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert partitions_of(0) == ((),)
+
+
+def test_partitions_of_counts_and_order():
+    # p(n) for n = 0..15; strictly descending and each a partition of n, so
+    # every partition of n appears exactly once
+    counts = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176)
+    for n, count in enumerate(counts):
+        shapes = partitions_of(n)
+        assert len(shapes) == count, n
+        assert all(a > b for a, b in zip(shapes, shapes[1:])), n
+        assert all(is_partition(lam) and sum(lam) == n for lam in shapes), n
 
 
 def test_conjugate():

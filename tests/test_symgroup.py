@@ -15,6 +15,7 @@ from althecke.symgroup import (
     alt_classes,
     an_class_of,
     bruhat_leq,
+    column_plan,
     composition_of,
     from_word,
     identity,
@@ -25,6 +26,7 @@ from althecke.symgroup import (
     split_class_reps,
     w_of_composition,
 )
+from althecke.combinat import partitions_of
 
 from conftest import compositions_of
 
@@ -248,3 +250,22 @@ def test_generator_actions_carry_length():
                     assert src.conj_s(i) == src.left_mult_s(i).right_mult_s(i)
                 assert src.inverse().length() == w.length()
             assert from_word(w.reduced_word(), n).length() == w.length()
+
+
+def test_column_plan_lists_the_even_types_with_their_representatives():
+    # the cycle types with n - len(kappa) even, increasing; a split type gives
+    # its plus and then its minus class; the one-line tuples are those of
+    # split_class_reps and of alt_classes
+    for n in range(13):
+        plan = column_plan(n)
+        types = [kappa for kappa, sign, _ in plan if sign != "minus"]
+        assert types == sorted(k for k in partitions_of(n) if (n - len(k)) % 2 == 0), n
+        want = []
+        for kappa in types:
+            plus, minus = split_class_reps(kappa)
+            if is_split_type(kappa):
+                want += [(kappa, "plus", plus.one_line), (kappa, "minus", minus.one_line)]
+            else:
+                want.append((kappa, "whole", plus.one_line))
+        assert plan == want, n
+        assert [ol for _, _, ol in plan] == [rep.one_line for _, rep in alt_classes(n)], n
