@@ -332,7 +332,7 @@ def column_plan(n: int) -> list:
         if (n - len(kappa)) % 2:
             continue
         plus = _cycles_one_line(kappa)
-        if n > 1 and all(k % 2 for k in kappa) and len(set(kappa)) == len(kappa):  # is_split_type
+        if is_split_type(kappa):
             plan += [(kappa, "plus", plus), (kappa, "minus", _minus_one_line(kappa, plus))]
         else:
             plan.append((kappa, "whole", plus))
