@@ -42,9 +42,11 @@ the class polynomial is an indicator and the twisted one is +-1 at the hook
 class, zero elsewhere.  One pass over the column cycle types, walked as a
 trie, leaves each cell a packed integer (:func:`_packed_table`), which
 :func:`char_table` reads as a tower element and :func:`table_json` writes
-row by row; nothing is cached.  Only the B-basis split values read
-:mod:`althecke.hecke`; the matrix traces of :mod:`althecke.specht` only
-check these routes.
+row by row.  A table caches no value: only the strip shapes of
+:func:`althecke.combinat.added_strips`, keyed by (shape, size), outlive
+the call, and ``added_strips.cache_clear()`` drops them.  Only the B-basis
+split values read :mod:`althecke.hecke`; the matrix traces of
+:mod:`althecke.specht` only check these routes.
 """
 
 from __future__ import annotations
@@ -59,10 +61,12 @@ from operator import mul
 from typing import NamedTuple
 
 from .combinat import (
+    added_strips,
     conjugate,
     contains,
     diagonal_hooks,
     eps_kappa,
+    hook_type,
     is_w_transposable,
     orbit_blocks,
     partitions_of,
@@ -384,36 +388,18 @@ def char_via_class_polys(lam, w: Permutation) -> TowerElem:
 # Plain characters at minimal-length class representatives
 # ---------------------------------------------------------------------------
 
+def _prices(r: int, base: int) -> list:
+    """Ram's weight price[rows][links] of a strip of :func:`added_strips` of
+    size r, with cc = rows - links components and height ht = links:
+    (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1) at Q = base, for T'_i = q T_i and Q = q^2."""
+    return [[(-1) ** links * base ** (r - rows) * (base - 1) ** (rows - links - 1)
+             for links in range(rows)] for rows in range(r + 1)]
+
+
 def _strips(nu: tuple, r: int, base: int) -> list:
-    """(lam, weight) for each broken border strip lam/nu of size r: no 2x2
-    block, so lam_i <= nu_(i-1) + 1 in every row i > 1.  Of its non-empty
-    rows, ``links`` share a column with the row above (nu_(i-1) < lam_i), so
-    it has cc = rows - links components and height ht = links; Ram's weight
-    (-1)^ht Q^(r-cc-ht) (Q-1)^(cc-1), T'_i = q T_i and Q = q^2, is at base."""
-    if r == 1:  # the addable corners, of weight 1, lowest row first as in the walk
-        out = [(nu + (1,), 1)]
-        for i in range(len(nu) - 1, -1, -1):
-            if i == 0 or nu[i - 1] > nu[i]:
-                out.append((nu[:i] + (nu[i] + 1,) + nu[i + 1:], 1))
-        return out
-    old = nu + (0,) * r
-    above = (old[0] + r,) + old  # nu_(i-1) over row i; row 0 may take all r cells
-    out = []
-
-    def walk(i, prev, left, lam, rows, links):
-        lo, up = old[i], above[i]
-        top = up + 1 if prev > up else prev  # min(prev, up + 1), capped at lo + left
-        for v in range(lo or 1, (top if top < lo + left else lo + left) + 1):
-            rest, n_rows, n_links = left - v + lo, rows + (v > lo), links + (v > up)
-            if rest:
-                walk(i + 1, v, rest, lam + (v,), n_rows, n_links)
-            else:
-                weight = base ** (r - n_rows) * (base - 1) ** (n_rows - n_links - 1)
-                out.append((lam + (v,) + nu[i + 1:], -weight if n_links % 2 else weight))
-
-    walk(0, above[0], r, (), 0, 0)
-    del walk  # it refers to itself through its closure cell, which holds out too
-    return out
+    """(lam, weight at base) for each broken border strip lam/nu of size r."""
+    price = _prices(r, base)
+    return [(lam, price[rows][links]) for lam, rows, links in added_strips(nu, r)]
 
 
 def _ram_packed(types, bound=None):
@@ -424,29 +410,36 @@ def _ram_packed(types, bound=None):
     From {(): 1}, each part r of kappa, largest first, adds every broken
     border strip of size r times its weight, and q^-(r-1) turns T'_i into
     T_i.  The sorted types are walked as a trie: a shared prefix is grown
-    once, only the states along the current path are kept, and the strips
-    of a shape are listed once per call, without those outside ``bound``.
+    once, and only the states along the current path are kept.  The strips
+    are the shapes of :func:`added_strips`, cached by (nu, r) and shared by
+    every call and degree; their weights are priced once per call and size
+    (:func:`_prices`), and a bounded pass keeps its own lists of the strips
+    inside ``bound``, so no value and no filtered list is cached.
     Two values' absolute coefficients sum to less than n! 2^(n+1) (n! strip
     sequences at most, each of norm at most 2^(n-1)), so :func:`_digits`
     reads a value, or the sum of two, back."""
     n = max(map(sum, types))
     bits = (factorial(n) << (n + 1)).bit_length() + 1
-    trail, strips = [((), {(): 1})], {}  # (prefix, {shape: value}) down the trie
+    trail, prices, kept = [((), {(): 1})], {}, {}  # (prefix, {shape: value}) down the trie
     for kappa in sorted(set(types)):
         while kappa[:len(trail[-1][0])] != trail[-1][0]:
             trail.pop()
         for r in kappa[len(trail[-1][0]):]:
             prefix, shapes = trail[-1]
+            price = prices.get(r)
+            if price is None:
+                price = prices[r] = _prices(r, 1 << bits)
             grown = {}
             get = grown.get
             for nu, x in shapes.items():
-                found = strips.get((nu, r))
-                if found is None:
-                    found = strips[nu, r] = _strips(nu, r, 1 << bits)
-                    if bound is not None:
-                        found = strips[nu, r] = [s for s in found if contains(bound, s[0])]
-                for lam, weight in found:
-                    grown[lam] = get(lam, 0) + x * weight
+                if bound is None:
+                    found = added_strips(nu, r)
+                else:
+                    found = kept.get((nu, r))
+                    if found is None:
+                        found = kept[nu, r] = [s for s in added_strips(nu, r) if contains(bound, s[0])]
+                for lam, rows, links in found:
+                    grown[lam] = get(lam, 0) + x * price[rows][links]
             trail.append((prefix + (r,), grown))
         yield kappa, trail[-1][1], bits, len(kappa) - sum(kappa)
 
@@ -632,17 +625,22 @@ def table_csv(table: CharTable) -> str:
     return out.getvalue()
 
 
-def table_rows(n: int):
-    """Row plan: one row per conjugate pair of shapes (labelled by the
-    lexicographically larger one), two split rows per self-conjugate shape."""
-    plan = []
+def _row_plan(n: int):
+    """(kind, lam, lam') per table row: one row per conjugate pair of shapes
+    (labelled by the lexicographically larger one), two split rows per
+    self-conjugate shape."""
     for lam in partitions_of(n):
         mu = conjugate(lam)
         if lam > mu:
-            plan.append(("pair", lam))
+            yield "pair", lam, mu
         elif lam == mu:
-            plan += [("plus", lam), ("minus", lam)]
-    return plan
+            yield "plus", lam, mu
+            yield "minus", lam, mu
+
+
+def table_rows(n: int):
+    """Row plan: (kind, shape) per row of :func:`_row_plan`."""
+    return [(kind, lam) for kind, lam, _ in _row_plan(n)]
 
 
 def _packed_table(n: int):
@@ -665,14 +663,14 @@ def _packed_table(n: int):
     for j, (kappa, _, _) in enumerate(cols):
         at.setdefault(kappa, []).append(j)
     rows, reads = [], []  # reads: (lam, lam' or None, hook type)
-    for kind, lam in table_rows(n):
+    for kind, lam, mu in _row_plan(n):
         if kind == "pair":
-            mu, h, unit = conjugate(lam), None, None
+            h = unit = None
         elif kind == "plus":  # the minus row after it keeps its hooks and unit
-            mu, h = None, diagonal_hooks(lam)[0]
+            h = hook_type(lam)
             unit = _closed_unit(h, h, _sign("oracle"))
         rows.append((kind, lam, unit, [None] * len(cols)))
-        reads.append((lam, mu, h))
+        reads.append((lam, mu if kind == "pair" else None, h))
     for kappa, values, bits, e in _ram_packed(at):
         get = values.get
         for (kind, _, _, cells), (lam, mu, h) in zip(rows, reads):

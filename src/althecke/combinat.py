@@ -39,6 +39,53 @@ def partitions_of(n: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def added_strips(nu: tuple, r: int) -> tuple:
+    """(lam, rows, links) for each broken border strip lam/nu of size r: no
+    2x2 block, so lam_i <= nu_(i-1) + 1 in every row i > 1.  ``rows``
+    counts its non-empty rows, and ``links`` those that share a column with
+    the row above (nu_(i-1) < lam_i), so it has rows - links components.
+    Shapes only: Ram's weight of a strip depends on (r, rows, links) alone."""
+    if r == 1:  # the addable corners, lowest row first
+        out = [(nu + (1,), 1, 0)]
+        for i in range(len(nu) - 1, -1, -1):
+            if i == 0 or nu[i - 1] > nu[i]:
+                out.append((nu[:i] + (nu[i] + 1,) + nu[i + 1:], 1, 0))
+        return tuple(out)
+    if r == 2:  # lowest row first: two corners, a horizontal domino, a vertical one
+        out, pad, below = [], nu + (0, 0), []  # below: nu with a lower corner added
+        for i in range(len(nu), -1, -1):
+            p = pad[i]
+            if i and pad[i - 1] == p:  # no corner in row i
+                continue
+            head, tail = nu[:i], nu[i + 1:]
+            for one in below:
+                out.append((one[:i] + (p + 1,) + one[i + 1:], 2, 0))
+            if not i or pad[i - 1] > p + 1:
+                out.append((head + (p + 2,) + tail, 1, 0))
+            if pad[i + 1] == p:
+                out.append((head + (p + 1, p + 1) + nu[i + 2:], 2, 1))
+            below.append(head + (p + 1,) + tail)
+        return tuple(out)
+    old = nu + (0,) * r
+    above = (old[0] + r,) + old  # nu_(i-1) over row i; row 0 may take all r cells
+    out = []
+
+    def walk(i, prev, left, lam, rows, links):
+        lo, up = old[i], above[i]
+        top = up + 1 if prev > up else prev  # min(prev, up + 1), capped at lo + left
+        for v in range(lo or 1, (top if top < lo + left else lo + left) + 1):
+            rest, n_rows, n_links = left - v + lo, rows + (v > lo), links + (v > up)
+            if rest:
+                walk(i + 1, v, rest, lam + (v,), n_rows, n_links)
+            else:
+                out.append((lam + (v,) + nu[i + 1:], n_rows, n_links))
+
+    walk(0, above[0], r, (), 0, 0)
+    del walk  # it refers to itself through its closure cell, which holds out too
+    return tuple(out)
+
+
 def compositions_of(n: int) -> list:
     """All 2^(n-1) compositions of n, ordered by their bitmask of cuts."""
     out = []
@@ -104,9 +151,15 @@ def diagonal_hooks(lam):
     Defined for self-conjugate shapes; the hooks are odd, strictly
     decreasing and sum to n.
     """
-    # lam_i - i falls as i grows, so the diagonal rows are those with lam_i > i
-    h = tuple(2 * (p - i) - 1 for i, p in enumerate(require_self_conjugate(lam)) if p > i)
+    h = hook_type(require_self_conjugate(lam))
     return h, len(h)
+
+
+def hook_type(lam: tuple) -> tuple:
+    """The diagonal hook lengths of :func:`diagonal_hooks`, for a tuple the
+    caller already knows to be self-conjugate: lam'_i = lam_i, unchecked."""
+    # lam_i - i falls as i grows, so the diagonal rows are those with lam_i > i
+    return tuple(2 * (p - i) - 1 for i, p in enumerate(lam) if p > i)
 
 
 def hook_length_count(lam) -> int:

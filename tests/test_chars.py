@@ -25,6 +25,7 @@ from althecke.chars import (
     plain_char,
     resolve_sigma,
     split_char_values,
+    table_json,
     table_rows,
     technical_partner,
     twisted_char,
@@ -33,6 +34,7 @@ from althecke.chars import (
 )
 from althecke.combinat import (
     StdTableau,
+    added_strips,
     conjugate,
     diagonal_hooks,
     eps_kappa,
@@ -503,6 +505,61 @@ def test_strips_are_the_broken_border_strips_by_their_cells():
                         want.add((lam, -weight if links % 2 else weight))
                     got = chars._strips(nu, r, base)
                     assert len(got) == len(set(got)) and set(got) == want, (nu, r)
+
+
+def test_added_strips_match_the_removal_walk():
+    # two independent enumerations: every shape nu grown by added_strips, read
+    # backwards as the nu below each lam with their (rows, links), against
+    # _broken_strips removing the strips from lam; sizes 1, 2 and >= 3 take
+    # three different routes through added_strips
+    below = {}
+    for m in range(10):
+        for nu in partitions_of(m):
+            for r in range(1, 11 - m):
+                listed = added_strips(nu, r)
+                assert len({lam for lam, _, _ in listed}) == len(listed), (nu, r)
+                for lam, rows, links in listed:
+                    below.setdefault((lam, r), set()).add((nu, rows, links))
+    checked = 0
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            for r in range(1, 11):
+                want = _broken_strips(lam, r)
+                assert len(set(want)) == len(want)
+                assert below.pop((lam, r), set()) == set(want), (lam, r)
+                checked += len(want)
+    assert not below and checked > 1000
+
+
+def test_a_warm_strip_cache_gives_cold_bytes():
+    # the degrees of one process share the strip shapes of added_strips and
+    # nothing else: a table read after other degrees, in a seeded order, must
+    # equal the same degree read from an empty cache
+    degrees = list(range(2, 15))
+    random.Random(2501).shuffle(degrees)
+    added_strips.cache_clear()
+    warm = {n: "".join(table_json(n)) for n in degrees}
+    for n in degrees:
+        added_strips.cache_clear()
+        assert "".join(table_json(n)) == warm[n], n
+
+
+def test_a_bounded_pass_keeps_its_filtered_strips_to_itself():
+    # plain_char grows only the shapes inside lam; its filtered lists must not
+    # reach the shared cache, where an unbounded pass of the same degree would
+    # miss shapes, nor may an unbounded pass change a bounded value
+    for n in range(1, 8):
+        shapes = partitions_of(n)
+        for kappa in shapes:
+            added_strips.cache_clear()
+            (_, full, _, _), = chars._ram_packed([kappa])
+            for lam in shapes:
+                added_strips.cache_clear()
+                cold = plain_char(lam, kappa)
+                assert plain_char(lam, kappa) == cold, (lam, kappa)  # before an unbounded pass
+                (_, values, _, _), = chars._ram_packed([kappa])
+                assert values == full, (lam, kappa)
+                assert plain_char(lam, kappa) == cold, (lam, kappa)  # after it
 
 
 def test_ram_forward_matches_the_removal_walk():
