@@ -42,9 +42,9 @@ the class polynomial is an indicator and the twisted one is +-1 at the hook
 class, zero elsewhere.  One pass over the column cycle types, walked as a
 trie, leaves each cell a packed integer (:func:`_packed_table`), which
 :func:`char_table` reads as a tower element and :func:`table_json` writes
-row by row.  A table caches no value: only the strip shapes of
-:func:`althecke.combinat.added_strips`, keyed by (shape, size), outlive
-the call, and ``added_strips.cache_clear()`` drops them.  Only the B-basis
+row by row; a single value runs the same pass, bounded by its shape.  No
+value is cached: only the strip shapes of :func:`althecke.combinat.added_strips`
+outlive a call, until ``added_strips.cache_clear()``.  Only the B-basis
 split values read :mod:`althecke.hecke`; the matrix traces of
 :mod:`althecke.specht` only check these routes.
 """
@@ -67,6 +67,7 @@ from .combinat import (
     diagonal_hooks,
     eps_kappa,
     hook_type,
+    is_partition,
     is_w_transposable,
     orbit_blocks,
     partitions_of,
@@ -96,6 +97,7 @@ from .symgroup import (
     LABEL_MARKS,
     Drop2Step,
     FlatStep,
+    MalformedCompositionError,
     Permutation,
     alt_classes,
     an_class_of,
@@ -238,6 +240,8 @@ def resolve_sigma() -> int:
 
 def _sign(convention: str) -> int:
     """The global sign s of (s*sqrt(-1))^((n-d)/2) under a convention."""
+    if convention not in ("oracle", "paper"):
+        raise ValueError(f"unknown convention {convention!r}: use 'oracle' or 'paper'")
     return resolve_sigma() if convention == "oracle" else -1
 
 
@@ -251,10 +255,10 @@ def twisted_char_closed(lam, kappa, convention: str = "oracle") -> TowerElem:
     s = :func:`resolve_sigma` under ``convention="oracle"``.
     """
     h, _ = diagonal_hooks(lam)
-    kappa = tuple(kappa)
+    kappa, sign = tuple(kappa), _sign(convention)
     if tuple(sorted(kappa, reverse=True)) != h:
         return TowerElem.zero()
-    return _closed_value(h, kappa, _sign(convention))
+    return _closed_value(h, kappa, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +303,15 @@ def twisted_char(lam, w: Permutation, reduction=None, convention: str = "oracle"
     ``reduction = reduce_to_composition(w)`` passes it, and the path is
     folded without being searched again.
     """
-    lam = require_self_conjugate(lam)
-    coeffs = _twisted_value(w) if reduction is None else _fold_path(*reduction)
     h, _ = diagonal_hooks(lam)
+    sign = _sign(convention)
+    if sum(h) != w.n:
+        raise ValueError(f"shape {tuple(lam)} and {w!r} have different degrees")
+    coeffs = _twisted_value(w) if reduction is None else _fold_path(*reduction)
     a = dict(coeffs).get(h, R_ZERO)
     if not a:
         return TowerElem.zero(), a
-    return _closed_value(h, h, _sign(convention)).scale(a), a
+    return _closed_value(h, h, sign).scale(a), a
 
 
 def delta_coefficients(r: RatFunc):
@@ -376,8 +382,11 @@ def class_polys(w: Permutation) -> ClassPolyTable:
 def char_via_class_polys(lam, w: Permutation) -> TowerElem:
     """Character value at any permutation: the class polynomials of w times
     the values at minimal-length class representatives, from one forward
-    pass of Ram's rule over their cycle types, bounded by lam."""
-    lam, coeffs, total = tuple(lam), dict(_f_vector(w)), TowerElem.zero()
+    pass of Ram's rule over their cycle types that keeps the shapes inside lam."""
+    lam = tuple(lam)
+    if not is_partition(lam) or sum(lam) != w.n:
+        raise ValueError(f"shape {lam} is not a partition of the degree of {w!r}")
+    coeffs, total = dict(_f_vector(w)), TowerElem.zero()
     for ctype, value in _ram_columns(coeffs, lam):
         c = coeffs[ctype]
         total = total + (value(1, lam) if c == R_ONE else value(1, lam).scale(c))
@@ -413,33 +422,29 @@ def _ram_packed(types, bound=None):
     once, and only the states along the current path are kept.  The strips
     are the shapes of :func:`added_strips`, cached by (nu, r) and shared by
     every call and degree; their weights are priced once per call and size
-    (:func:`_prices`), and a bounded pass keeps its own lists of the strips
-    inside ``bound``, so no value and no filtered list is cached.
+    (:func:`_prices`).  After each part a bounded pass keeps only the grown
+    shapes inside ``bound``: shapes only grow, so a strip sequence that ends
+    inside ``bound`` never leaves it.  No value is cached.
     Two values' absolute coefficients sum to less than n! 2^(n+1) (n! strip
     sequences at most, each of norm at most 2^(n-1)), so :func:`_digits`
     reads a value, or the sum of two, back."""
     n = max(map(sum, types))
     bits = (factorial(n) << (n + 1)).bit_length() + 1
-    trail, prices, kept = [((), {(): 1})], {}, {}  # (prefix, {shape: value}) down the trie
+    prices = {r: _prices(r, 1 << bits) for r in set().union(*types)}
+    trail = [((), {(): 1})]  # (prefix, {shape: value}) down the trie
     for kappa in sorted(set(types)):
         while kappa[:len(trail[-1][0])] != trail[-1][0]:
             trail.pop()
         for r in kappa[len(trail[-1][0]):]:
             prefix, shapes = trail[-1]
-            price = prices.get(r)
-            if price is None:
-                price = prices[r] = _prices(r, 1 << bits)
+            price = prices[r]
             grown = {}
             get = grown.get
             for nu, x in shapes.items():
-                if bound is None:
-                    found = added_strips(nu, r)
-                else:
-                    found = kept.get((nu, r))
-                    if found is None:
-                        found = kept[nu, r] = [s for s in added_strips(nu, r) if contains(bound, s[0])]
-                for lam, rows, links in found:
+                for lam, rows, links in added_strips(nu, r):
                     grown[lam] = get(lam, 0) + x * price[rows][links]
+            if bound is not None:
+                grown = {lam: x for lam, x in grown.items() if contains(bound, lam)}
             trail.append((prefix + (r,), grown))
         yield kappa, trail[-1][1], bits, len(kappa) - sum(kappa)
 
@@ -473,12 +478,13 @@ def plain_char(lam, kappa) -> TowerElem:
 
     Minimal-length elements of one conjugacy class share their character
     values, so the composition is sorted, and Ram's broken-border-strip rule
-    runs forward over its parts with lam as the bound: only shapes inside
-    lam are grown."""
-    lam = tuple(lam)
-    kappa = tuple(sorted(kappa, reverse=True))
-    if sum(lam) != sum(kappa):
-        raise ValueError(f"shape {lam} and class {kappa} have different sizes")
+    runs forward over its parts with lam as the bound: only the shapes
+    inside lam are kept after each part."""
+    lam, kappa = tuple(lam), tuple(sorted(kappa, reverse=True))
+    if kappa and kappa[-1] < 1:
+        raise MalformedCompositionError(f"composition parts must be positive: {kappa}")
+    if not is_partition(lam) or sum(lam) != sum(kappa):
+        raise ValueError(f"shape {lam} is not a partition of the size of class {kappa}")
     (_, value), = _ram_columns([kappa], lam)
     return value(1, lam)
 
@@ -555,6 +561,9 @@ def split_char_values(lam, w: Permutation, basis: str = "A",
     values swap wherever (n - d)/2 is odd.
     """
     lam = require_self_conjugate(lam)
+    _sign(convention)  # refuse a bad convention, like a bad shape, before any search
+    if sum(lam) != w.n:
+        raise ValueError(f"shape {lam} and {w!r} have different degrees")
     if not w.is_even():
         raise NotAlternatingError(f"{w!r} is odd")
     if basis == "A":  # averaging is invisible to both traces

@@ -61,7 +61,7 @@ from .chars import (
 from .verify import SUITES
 
 
-#: Resource guard: bounds the n! rows of ``basis`` and the matrix oracle of ``verify``.
+#: Resource guard for the matrix oracle of ``verify``; ``basis -n 7`` already runs past 150 s.
 DEFAULT_N_MAX = 12
 
 

@@ -684,10 +684,6 @@ def _reduce(num: LaurentPoly, den: LaurentPoly):
         if not g.is_one():
             pnum = _poly_exact_div(pnum, g)
             pden = _poly_exact_div(pden, g)
-            if pden.is_monomial():
-                inv = pden._recip_lead()
-                num2 = pnum._scaled(*inv) if inv else pnum
-                return num2.shift(a - b), L_ONE
     inv = pden._recip_lead()
     if inv:
         pnum = pnum._scaled(*inv)
@@ -744,10 +740,7 @@ def _rf_add(a: RatFunc, b: RatFunc, sign: int) -> RatFunc:
     if not h.is_one():
         num = _laurent_exact_div(num, h)
         d2 = _poly_exact_div(d2, h)
-    den = d1r * d2
-    if den.is_monomial():
-        return RatFunc._make(num, L_ONE)
-    return RatFunc._make(num, den)
+    return RatFunc._make(num, d1r * d2)  # monic, valuation 0: a monomial here is 1
 
 
 def _rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -769,10 +762,7 @@ def _rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
         if not v.is_one():
             n2 = _laurent_exact_div(n2, v)
             d1 = _poly_exact_div(d1, v)
-    den = d1 * d2
-    if den.is_monomial():
-        return RatFunc._make(n1 * n2, L_ONE)
-    return RatFunc._make(n1 * n2, den)
+    return RatFunc._make(n1 * n2, d1 * d2)  # monic, valuation 0: a monomial here is 1
 
 
 R_ZERO = RatFunc._make(L_ZERO, L_ONE)

@@ -33,6 +33,7 @@ from althecke.chars import (
     twisted_char_closed,
 )
 from althecke.combinat import (
+    NotSymmetricError,
     StdTableau,
     added_strips,
     conjugate,
@@ -43,7 +44,7 @@ from althecke.combinat import (
     std_tableaux,
     transposable_tableaux,
 )
-from althecke.hecke import HeckeElem, a_elem, b_in_a, expand_in_a, t_in_b
+from althecke.hecke import HeckeElem, a_elem, b_elem, b_in_a, expand_in_a, t_in_b
 from althecke.scalars import (
     GaussianRational,
     LaurentPoly,
@@ -60,6 +61,8 @@ from althecke.specht import char_alt, char_T, twisted_trace
 from althecke.symgroup import (
     Drop2Step,
     FlatStep,
+    MalformedCompositionError,
+    Permutation,
     all_permutations,
     alt_classes,
     from_word,
@@ -133,6 +136,44 @@ def test_closed_examples():
     assert eps_kappa((3, 1, 7)) == 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda c: twisted_char_closed((2, 1), (3,), convention=c),
+    lambda c: twisted_char_closed((2, 1), (2, 1), convention=c),  # zero under either sign
+    lambda c: twisted_char((2, 1), from_word([1, 2], 3), convention=c),
+    lambda c: twisted_char((2, 1), from_word([1], 3), convention=c),  # zero under either sign
+    lambda c: split_char_values((2, 1), from_word([1, 2], 3), convention=c),
+    lambda c: split_char_values((2, 1), from_word([1, 2], 3), "B", convention=c),
+], ids=["closed", "closed-zero", "twisted", "twisted-zero", "split-A", "split-B"])
+def test_an_unknown_convention_is_refused(call):
+    call("oracle")
+    call("paper")
+    with pytest.raises(ValueError, match="'orcale'"):
+        call("orcale")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: char_via_class_polys((2, 1), from_word([1], 4)), ValueError),
+    (lambda: char_via_class_polys((1, 2), from_word([1], 3)), ValueError),
+    (lambda: twisted_char((2, 1), from_word([1, 2], 4)), ValueError),
+    (lambda: twisted_char((2, 2), from_word([1, 2], 3)), ValueError),
+    (lambda: twisted_char((3, 1), from_word([1, 2], 4)), NotSymmetricError),
+    (lambda: split_char_values((2, 1), from_word([1, 2], 4)), ValueError),
+    (lambda: split_char_values((2, 1), from_word([1, 2], 4), "B"), ValueError),
+    (lambda: plain_char((2, 1), (0, 3)), MalformedCompositionError),
+    (lambda: plain_char((2, 1), (4, -1)), MalformedCompositionError),
+    (lambda: plain_char((1, 2), (3,)), ValueError),
+    (lambda: plain_char((2, 1), (2, 2)), ValueError),
+], ids=["via-degree", "via-not-a-partition", "twisted-degree-low", "twisted-degree-high",
+        "twisted-not-self-conjugate", "split-A-degree", "split-B-degree", "plain-part-zero",
+        "plain-part-negative", "plain-not-a-partition", "plain-size"])
+def test_value_functions_refuse_bad_input_before_any_search(call, error):
+    searches = (chars._f_vector, chars._twisted_value, b_elem, added_strips)
+    before = [f.cache_info() for f in searches]
+    with pytest.raises(error):
+        call()
+    assert [f.cache_info() for f in searches] == before
+
+
 def test_technical_partner_pairing():
     # wherever two diagonal entries share a cycle block, the partner
     # cancels the whole factor product
@@ -184,6 +225,24 @@ def test_class_polys_examples():
     assert class_polys(identity(4)).as_dict() == {(1, 1, 1, 1): RatFunc(1)}
     f = class_polys(from_word([1, 2, 1], 3)).as_dict()
     assert f == {(2, 1): RatFunc(1), (3,): q_minus_qinv()}
+
+
+def _assert_class_polys_symmetric(n):
+    """f_(w^-1) = f_w (a character takes one value at T_w and T_(w^-1)) and
+    f_(w0 w w0) = f_w (T_(w0) T_i T_(w0)^-1 = T_(n-i)) over all of S_n; the
+    searches from the three permutations take different paths."""
+    w0 = Permutation(range(n, 0, -1))
+    for w in all_permutations(n):
+        f = chars._f_vector(w)
+        assert chars._f_vector(w.inverse()) == f, w
+        assert chars._f_vector(w0 * w * w0) == f, w
+
+
+def test_class_polys_are_symmetric_up_to_degree_7():
+    # the plain class polynomials only: split classes swap under inversion,
+    # so the twisted and alternating ones move
+    for n in range(1, 8):
+        _assert_class_polys_symmetric(n)
 
 
 def test_alt_class_polys_examples():
