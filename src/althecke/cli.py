@@ -61,13 +61,16 @@ from .chars import (
 from .verify import SUITES
 
 
-#: Resource guard for the matrix oracle of ``verify``; ``basis -n 7`` already runs past 150 s.
+#: Resource guard for the matrix oracle of ``verify``, and for every command but ``basis``.
 DEFAULT_N_MAX = 12
+# basis writes all n! elements: on 2 cores with CPython 3.11, -n 6 takes 28-43 s and -n 7
+# runs past 150 s
+_BASIS_N_MAX = 6
 
 
-def _guard_n(n: int, force: bool):
-    if n > DEFAULT_N_MAX and not force:
-        raise ValueError(f"degree {n} exceeds the resource guard {DEFAULT_N_MAX}; "
+def _guard_n(n: int, force: bool, n_max: int = DEFAULT_N_MAX):
+    if n > n_max and not force:
+        raise ValueError(f"degree {n} exceeds the resource guard {n_max}; "
                          f"pass --force to override")
 
 
@@ -197,7 +200,7 @@ def cmd_classpoly(args) -> int:
 
 def cmd_basis(args) -> int:
     n = args.n
-    _guard_n(n, args.force)
+    _guard_n(n, args.force, _BASIS_N_MAX)
     build = {"A": a_elem, "B": b_elem}[args.which]
     rows = []
     for w in all_permutations(n):
@@ -249,11 +252,11 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _common(p, need_n=False, convention=False):
+def _common(p, need_n=False, convention=False, n_max=DEFAULT_N_MAX):
     if convention:
         p.add_argument("--convention", choices=("oracle", "paper"), default="oracle")
     p.add_argument("--force", action="store_true",
-                   help=f"override the n <= {DEFAULT_N_MAX} resource guard")
+                   help=f"override the n <= {n_max} resource guard")
     if need_n:
         p.add_argument("-n", type=_nonnegative, required=True)
 
@@ -282,7 +285,7 @@ def _classpoly_args(p):
 
 
 def _basis_args(p):
-    _common(p, need_n=True)
+    _common(p, need_n=True, n_max=_BASIS_N_MAX)
     p.add_argument("--which", type=str.upper, choices=("A", "B"), default="B")
 
 

@@ -903,6 +903,43 @@ def test_plain_values_satisfy_the_generic_schur_relation():
             assert total == want, (n, kappa)
 
 
+def _assert_row_schur_relations(n):
+    """The Schur relations in row form over all of S_n: the dual basis of T_w
+    under tau is T_(w^-1), so sum_w chi_lam(T_w) chi_mu(T_(w^-1)) = delta_(lam,mu)
+    chi_lam(1) P / D_lam.  With chi_lam(T_w) = sum_C f_(w,C) chi_lam(w_C) (Ram's
+    columns) the sum is X G X^T for the Gram matrix G_(C,C') = sum_w f_(w,C)
+    f_(w^-1,C') of the class polynomials, so it tests every f-vector of S_n."""
+    gram = {}
+    for w in all_permutations(n):
+        inverse = chars._f_vector(w.inverse())
+        for c, a in chars._f_vector(w):
+            for c2, b in inverse:
+                _add_term(gram, (c, c2), a * b)
+    p, degrees = _generic_degrees(n)
+    shapes = partitions_of(n)
+    chi = {}
+    for kappa, value in chars._ram_columns(shapes):
+        for lam in shapes:
+            terms = value(1, lam).terms
+            assert set(terms) <= {frozenset()}  # plain values have no radical
+            chi[lam, kappa] = terms.get(frozenset(), RatFunc(0))
+    for lam in shapes:
+        row = {}  # (X G)_(lam, C')
+        for (c, c2), g in gram.items():
+            _add_term(row, c2, chi[lam, c] * g)
+        for mu in shapes:
+            total = sum((row[c2] * chi[mu, c2] for c2 in row), RatFunc(0))
+            want = chi[lam, (1,) * n] * p / degrees[lam] if lam == mu else RatFunc(0)
+            assert total == want, (n, lam, mu)
+
+
+def test_class_polys_satisfy_the_row_schur_relations():
+    # unlike the symmetry checks, this sees a change made the same way at every
+    # DROP2 step: a dropped (q - q^-1) factor, or two class keys swapped
+    for n in range(2, 7):
+        _assert_row_schur_relations(n)
+
+
 def test_table_satisfies_the_generic_schur_relation():
     # on the cells of table_json, read back by tower_from_obj: the two rows of
     # a self-conjugate shape sum to its plain value and the pair cells to the

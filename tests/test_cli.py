@@ -333,6 +333,25 @@ def test_resource_guard(capsys):
     assert lines[1].startswith("usage: ")
 
 
+def test_basis_guard_refuses_degree_7_before_building_the_basis(monkeypatch, capsys):
+    # basis writes all n! elements, so its guard stops at 6; --force passes it
+    import althecke.cli as cli
+
+    def enumerated(n):
+        raise AssertionError(f"the basis of degree {n} was built")
+
+    monkeypatch.setattr(cli, "all_permutations", enumerated)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["basis", "-n", "7"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: degree 7 exceeds the resource guard 6; pass --force to override"
+    assert lines[1].startswith("usage: ")
+    monkeypatch.setattr(cli, "all_permutations", lambda n: iter(()))
+    code, out = run_cli(["basis", "-n", "7", "--force"])
+    assert code == 0 and json.loads(out)["rows"] == []
+
+
 def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as err:
         run_cli(["table"])

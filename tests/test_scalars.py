@@ -1,3 +1,5 @@
+import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -314,3 +316,72 @@ def test_pretty_tower():
     val = TowerElem.gen(3).scale(RatFunc.q_power(-1) * RatFunc(GaussianRational(0, 1)))
     assert pretty_tower(val) == "√-1·q^(-3/2)·√[3]"
     assert pretty_tower(TowerElem.zero()) == "0"
+
+
+# -- the operator table of the scalar tower -----------------------------------
+
+# a nonzero value and a zero of every operand kind, named as in the golden file
+_OPERANDS = (
+    ("3", 3), ("0", 0),
+    ("-1/2", Fraction(-1, 2)), ("Fraction(0)", Fraction(0)),
+    ("g", GaussianRational(1, 2)), ("g0", GaussianRational(0)),
+    ("p", LaurentPoly({-1: 1, 2: GaussianRational(0, 1)})), ("p0", LaurentPoly.zero()),
+    ("r", RatFunc(LaurentPoly({1: 1}), LaurentPoly({0: 1, 2: 1}))), ("r0", RatFunc.zero()),
+    ("t", TowerElem({(): 2, (2,): RatFunc.q_power(1), (2, 3): GaussianRational(0, -1)})),
+    ("t0", TowerElem.zero()),
+)
+_TOWER = (GaussianRational, RatFunc, TowerElem)
+_BINARY = (("+", operator.add), ("-", operator.sub), ("*", operator.mul),
+           ("/", operator.truediv), ("==", operator.eq), ("!=", operator.ne))
+
+
+def _outcome(call, *args) -> str:
+    """The type and printed value of call(*args), or the type of what it raises."""
+    try:
+        value = call(*args)
+    except Exception as err:  # the type of the exception is the outcome
+        return f"raises {type(err).__name__}"
+    return f"{type(value).__name__} {value}"
+
+
+def _operator_outcomes() -> list:
+    """[expression, outcome] for every binary operator over every ordered pair
+    of operands with a GaussianRational, RatFunc or TowerElem among them, then
+    the negation of each of those."""
+    out = [[f"{a} {sym} {b}", _outcome(op, x, y)]
+           for a, x in _OPERANDS for sym, op in _BINARY for b, y in _OPERANDS
+           if isinstance(x, _TOWER) or isinstance(y, _TOWER)]
+    out += [[f"-{a}", _outcome(operator.neg, x)] for a, x in _OPERANDS if isinstance(x, _TOWER)]
+    return out
+
+
+def test_operator_table_of_the_scalar_tower(goldens):
+    # every result, and the type of every exception, of + - * / == != between
+    # the three coercing classes and int, Fraction and LaurentPoly, as recorded
+    # in the golden file; among them, only a RatFunc divides a number standing
+    # to its left (the tower is a ring, and a Gaussian rational takes no
+    # reflected division), so 0 / g and 3 / t raise TypeError
+    doc = json.loads((goldens / "scalar_operators.json").read_text(encoding="utf-8"))
+    assert _operator_outcomes() == doc["outcomes"]
+
+
+def test_equal_scalars_built_differently_hash_equal():
+    g, r, t = (x for name, x in _OPERANDS if name in ("g", "r", "t"))
+    same = [
+        (g, GaussianRational(Fraction(2, 2), Fraction(4, 2))),
+        (GaussianRational(0), GaussianRational(1, 2) - GaussianRational(1, 2)),
+        (r, RatFunc(LaurentPoly({2: 3}), LaurentPoly({1: 3, 3: 3}))),
+        (RatFunc.zero(), r - r),
+        (t, (t + t) / 2),
+        (TowerElem.zero(), t - t),
+    ]
+    for a, b in same:
+        assert a == b and hash(a) == hash(b)
+
+
+def test_tower_scale_refuses_what_is_not_a_ratfunc_scalar():
+    y2 = TowerElem.gen(2)
+    for c in ("x", y2):
+        with pytest.raises(TypeError):
+            y2.scale(c)
+    assert y2.scale(0) == TowerElem.zero()
