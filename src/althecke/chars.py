@@ -39,10 +39,12 @@ permutation through the class polynomials; a twisted value is the
 closed-form unit scaled by its twisted class polynomial.  A table reads only
 Ram's rule and the closed form: at its minimal-length column representatives
 the class polynomial is an indicator and the twisted one is +-1 at the hook
-class, zero elsewhere.  One pass over the column cycle types, walked as a
-trie, leaves each cell a packed integer (:func:`_packed_table`), which
-:func:`char_table` reads as a tower element and :func:`table_json` writes
-row by row; a single value runs the same pass, bounded by its shape.  No
+class, zero elsewhere, so a cell depends only on its row, its column's cycle
+type and, at a split row's hook type, the column's sign.  One pass over the
+column cycle types, walked as a trie, leaves each row a packed integer per
+type (:func:`_packed_table`), which :func:`char_table` reads as a tower
+element and :func:`table_json` writes as digits; a single value runs the
+same pass, bounded by its shape.  No
 value is cached: only the strip shapes of :func:`althecke.combinat.added_strips`
 outlive a call, until ``added_strips.cache_clear()``.  Only the B-basis
 split values read :mod:`althecke.hecke`; the matrix traces of
@@ -654,56 +656,60 @@ def table_rows(n: int):
 
 def _packed_table(n: int):
     """(columns, bits, rows) of the degree-n table: the :func:`column_plan`,
-    and a row (kind, shape, unit, cells) per :func:`table_rows` entry, with
-    a cell (x, e, sign) per column.  The cell is Ram's packed x read by
-    :func:`_read` at q-offset e over 2, plus sign * u/2 for the closed-form
-    unit u = (m, k, ys) of :func:`_closed_unit` (None on a pair row).
+    and a row (kind, shape, h, unit, plain) per :func:`table_rows` entry.
+    plain[kappa] = (x, e) is the row's Ram value at cycle type kappa, packed
+    as :func:`_read` takes it at q-offset e; a cell is x/2 at its column's
+    type, plus :func:`_unit_sign` times u/2 for the closed-form unit
+    u = (m, k, ys) of :func:`_closed_unit` at hook type h (None on a pair row).
 
-    A pair cell is the mean of the plain values, Ram's rule at the column's
-    cycle type, of the shape and its conjugate.  A split row of shape lam,
-    hook type h, halves the plain value and adds half the twisted value: the
-    closed-form unit u at the plus class of type h, -u at its minus class
-    s_r w+ s_r (the FLAT witness of that step is shorter than n - d and
-    folds to zero), zero elsewhere; the minus row subtracts it."""
+    A pair cell is the mean of the plain values of the shape and its
+    conjugate, so x is their sum.  A split row of shape lam halves the plain
+    value and adds half the twisted value: u at the plus class of type h, -u
+    at its minus class s_r w+ s_r (the FLAT witness of that step is shorter
+    than n - d and folds to zero), zero elsewhere; the minus row subtracts u."""
     if n < 2:
         raise ValueError("character tables need degree at least 2")
     cols = column_plan(n)
-    at = {}  # cycle type -> the indices of its columns
-    for j, (kappa, _, _) in enumerate(cols):
-        at.setdefault(kappa, []).append(j)
-    rows, reads = [], []  # reads: (lam, lam' or None, hook type)
+    rows, sums = [], []  # sums: (plain, lam, lam' or None) per plus or pair row
     for kind, lam, mu in _row_plan(n):
         if kind == "pair":
             h = unit = None
-        elif kind == "plus":  # the minus row after it keeps its hooks and unit
+        elif kind == "plus":  # the minus row after it shares h, unit and plain
             h = hook_type(lam)
             unit = _closed_unit(h, h, _sign("oracle"))
-        rows.append((kind, lam, unit, [None] * len(cols)))
-        reads.append((lam, mu if kind == "pair" else None, h))
-    for kappa, values, bits, e in _ram_packed(at):
+        if kind != "minus":
+            plain = {}
+            sums.append((plain, lam, mu if kind == "pair" else None))
+        rows.append((kind, lam, h, unit, plain))
+    for kappa, values, bits, e in _ram_packed({kappa for kappa, _, _ in cols}):
         get = values.get
-        for (kind, _, _, cells), (lam, mu, h) in zip(rows, reads):
-            x = get(lam, 0) if mu is None else get(lam, 0) + get(mu, 0)
-            for j in at[kappa]:  # at the hook type: +u/2 where the row and class signs agree
-                cells[j] = (x, e, 0 if kappa != h else 1 if cols[j][1] == kind else -1)
+        for plain, lam, mu in sums:
+            plain[kappa] = (get(lam, 0) if mu is None else get(lam, 0) + get(mu, 0), e)
     return cols, bits, rows
+
+
+def _unit_sign(kind: str, h, kappa, sign: str) -> int:
+    """The multiple of u/2 at column (kappa, sign) of a row of kind and hook type h: +1
+    at the hook type where the row and class signs agree, -1 where they differ, else 0."""
+    return 0 if kappa != h else 1 if sign == kind else -1
 
 
 def char_table(n: int) -> CharTable:
     """The character table of degree n: the cells of :func:`_packed_table` as tower elements."""
-    _, bits, rows = _packed_table(n)
+    cols, bits, rows = _packed_table(n)
     table = []
-    for kind, lam, unit, cells in rows:
+    for kind, lam, h, unit, plain in rows:
+        values = {kappa: _read(x, bits, e, 2) for kappa, (x, e) in plain.items()}
         half = _unit_elem(unit, 2) if unit else TowerElem.zero()
-        units = (TowerElem.zero(), half, -half)  # indexed by the cell's sign 0, 1, -1
+        units = (TowerElem.zero(), half, -half)  # indexed by _unit_sign 0, 1, -1
         table.append(TableRow(kind, lam, tuple(
-            _read(x, bits, e, 2) + units[s] for x, e, s in cells)))
+            values[kappa] + units[_unit_sign(kind, h, kappa, sign)] for kappa, sign, _ in cols)))
     return CharTable(n, resolve_sigma(), tuple(alt_classes(n)), tuple(table))
 
 
 def _half_unit_terms(unit) -> tuple:
     """No JSON term, and the terms +u/2 and -u/2 of :func:`tower_to_obj`, each
-    after a comma, indexed by a cell's sign 0, 1, -1, for the unit (m, k, ys)."""
+    after a comma, indexed by :func:`_unit_sign` 0, 1, -1, for the unit (m, k, ys)."""
     m, k, ys = unit
     re, im = _I_POWERS[k]
 
@@ -716,33 +722,27 @@ def _half_unit_terms(unit) -> tuple:
 
 def table_json(n: int):
     """``char_table(n).to_json()`` and a newline, one row at a time from the
-    integers of :func:`_packed_table`: the header and labels as strings,
-    and each distinct cell of a row (or of a plus and minus pair of rows)
-    once, from the balanced digits of its packed value and the radical
-    term of its row's closed-form unit."""
+    integers of :func:`_packed_table`: the header and labels as strings, a
+    row's plain part once per cycle type (and shape) from the balanced digits
+    of its packed value, and the radical term of its unit at the hook type."""
     cols, bits, rows = _packed_table(n)
     # labels hold digits, commas, brackets and a sign: no JSON escapes
     yield ('{"column_reps":[' + ",".join(f"[{','.join(map(str, ol))}]" for _, _, ol in cols)
            + '],"columns":[' + ",".join(f'"{class_label(kappa, sign)}"' for kappa, sign, _ in cols)
            + f'],"convention":"oracle","n":{n},"rows":[')
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    for i, (kind, lam, unit, cells) in enumerate(rows):
-        if kind != "minus":  # a minus row repeats the values and unit of the plus row before it
-            done = {}  # cell -> its JSON
+    for i, (kind, lam, h, unit, plain) in enumerate(rows):
+        if kind != "minus":  # a minus row shares the plain part and unit of the plus row before it
+            nums = {}  # kappa -> the JSON term of plain[kappa] / 2, c/2 in lowest terms
+            for kappa, (x, e) in plain.items():
+                num = ",".join(f"[{q},{c},2,0,1]" if c & 1 else f"[{q},{c >> 1},1,0,1]"
+                               for q, c in _digits(x, bits, e))
+                nums[kappa] = '{"den":[[0,1,1,0,1]],"num":[' + num + '],"ys":[]}' if num else ""
             rads = _half_unit_terms(unit) if unit else ("",)
-        for cell in cells:
-            if cell not in done:
-                x, e, sign = cell
-                nums = []
-                while x:  # _digits' loop, copied: 3% of a cold round; c/2 in lowest terms
-                    x += half
-                    c, x = (x & mask) - half, x >> bits
-                    if c:
-                        nums.append(f"[{e},{c},2,0,1]" if c & 1 else f"[{e},{c >> 1},1,0,1]")
-                    e += 2
-                num = '{"den":[[0,1,1,0,1]],"num":[' + ",".join(nums) + '],"ys":[]}' if nums else ""
-                done[cell] = '{"terms":[' + (num + rads[sign] if num else rads[sign][1:]) + "]}"
-        yield ("," if i else "") + '{"cells":[' + ",".join([done[cell] for cell in cells]) + (
+        cells = []
+        for kappa, sign, _ in cols:
+            num, rad = nums[kappa], rads[_unit_sign(kind, h, kappa, sign)]
+            cells.append('{"terms":[' + (num + rad if num else rad[1:]) + "]}")
+        yield ("," if i else "") + '{"cells":[' + ",".join(cells) + (
             f'],"kind":"{kind}","label":"{row_label(lam, kind)}",'
             f'"shape":[{",".join(map(str, lam))}]}}')
     yield f'],"sigma":{resolve_sigma()}}}\n'

@@ -32,7 +32,11 @@ each coerces its operand into its own class with ``_coerce`` (an int, a
 Fraction or a value of a lower layer, LaurentPoly below RatFunc) or returns
 NotImplemented, so that Python tries the reflected operator, and then calls
 ``_plus(o, sign)``, ``_times(o)`` or ``_same(o)``.  Negation, hashing and
-RatFunc's reflected division stay with each class.
+RatFunc's reflected division stay with each class.  A value hashes as the
+equal value of the lowest layer that holds it (a real GaussianRational as its
+Fraction, a constant LaurentPoly as its coefficient, a RatFunc over 1 as its
+numerator, a TowerElem without radicals as its RatFunc), so values that
+compare equal across the layers hash equal, every zero as 0.
 """
 
 from __future__ import annotations
@@ -168,8 +172,8 @@ class GaussianRational(_Scalar):
     def _same(self, o):
         return self.re == o.re and self.im == o.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes as the Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -386,7 +390,9 @@ class LaurentPoly(Frozen):
             return NotImplemented
         return self._d == other._d and self._c == other._c
 
-    def __hash__(self):
+    def __hash__(self):  # a constant hashes as its coefficient, which its RatFunc equals
+        if self._c.keys() <= {0}:
+            return hash(self.coeff(0))
         return hash((self._d, tuple(sorted(self._c.items()))))
 
     def __repr__(self):
@@ -640,8 +646,8 @@ class RatFunc(_Scalar):
     def _same(self, o):
         return self.num == o.num and self.den == o.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __hash__(self):  # over 1, a value hashes as the numerator it equals
+        return hash(self.num) if self.den.is_one() else hash((self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -938,7 +944,9 @@ class TowerElem(_Scalar):
     def _same(self, o):
         return self.terms == o.terms
 
-    def __hash__(self):
+    def __hash__(self):  # without radicals, a value hashes as the RatFunc it equals
+        if self.terms.keys() <= {frozenset()}:
+            return hash(self.terms.get(frozenset(), R_ZERO))
         return hash(tuple(sorted(((tuple(sorted(s)), c) for s, c in self.terms.items()))))
 
     def sorted_terms(self):

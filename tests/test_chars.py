@@ -227,12 +227,13 @@ def test_class_polys_examples():
     assert f == {(2, 1): RatFunc(1), (3,): q_minus_qinv()}
 
 
-def _assert_class_polys_symmetric(n):
+def _assert_class_polys_symmetric(n, perms=None):
     """f_(w^-1) = f_w (a character takes one value at T_w and T_(w^-1)) and
-    f_(w0 w w0) = f_w (T_(w0) T_i T_(w0)^-1 = T_(n-i)) over all of S_n; the
-    searches from the three permutations take different paths."""
+    f_(w0 w w0) = f_w (T_(w0) T_i T_(w0)^-1 = T_(n-i)) over ``perms``, all of
+    S_n by default; the searches from the three permutations take different
+    paths."""
     w0 = Permutation(range(n, 0, -1))
-    for w in all_permutations(n):
+    for w in all_permutations(n) if perms is None else perms:
         f = chars._f_vector(w)
         assert chars._f_vector(w.inverse()) == f, w
         assert chars._f_vector(w0 * w * w0) == f, w
@@ -376,14 +377,14 @@ def test_twisted_value_folds_once_per_permutation(n, sample):
 
 def test_twisted_class_polys_keys_and_degrees():
     # the degree bound is the one a skip of short FLAT witnesses relies on
-    n = 6
-    for w in all_permutations(n):
-        for h, a in chars._twisted_value(w):
-            assert sum(h) == n and list(h) == sorted(set(h), reverse=True)
-            assert all(k % 2 for k in h)
-            coeffs = delta_coefficients(a)
-            assert coeffs, (w, h)
-            assert max(coeffs) <= w.length() - (n - len(h)), (w, h)
+    for n in (6, 7):
+        for w in all_permutations(n):
+            for h, a in chars._twisted_value(w):
+                assert sum(h) == n and list(h) == sorted(set(h), reverse=True)
+                assert all(k % 2 for k in h)
+                coeffs = delta_coefficients(a)
+                assert coeffs, (w, h)
+                assert max(coeffs) <= w.length() - (n - len(h)), (w, h)
 
 
 def test_equiv_class_example_two_singletons():

@@ -1,6 +1,7 @@
 import json
 import operator
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -377,6 +378,19 @@ def test_equal_scalars_built_differently_hash_equal():
     ]
     for a, b in same:
         assert a == b and hash(a) == hash(b)
+
+
+def test_equal_operands_of_different_layers_hash_equal():
+    # Python's rule for dict and set keys: values that compare equal hash
+    # equal, also across types; each value hashes as the equal value of the
+    # lowest layer that holds it; the 12 equal pairs are zeros of different classes
+    equal = [(a, b, x, y) for (a, x), (b, y) in combinations(_OPERANDS, 2) if x == y]
+    assert len(equal) == 12
+    assert [(a, b) for a, b, x, y in equal if hash(x) != hash(y)] == []
+    p, r = (x for name, x in _OPERANDS if name in ("p", "r"))
+    lifted = [(3, v) for v in (GaussianRational(3), RatFunc(3), TowerElem.from_scalar(3))]
+    lifted += [(p, RatFunc(p)), (p, TowerElem.from_scalar(p)), (r, TowerElem.from_scalar(r))]
+    assert all(a == b and hash(a) == hash(b) for a, b in lifted)
 
 
 def test_tower_scale_refuses_what_is_not_a_ratfunc_scalar():
