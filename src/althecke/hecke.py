@@ -111,10 +111,12 @@ class HeckeElem(Frozen):
         return HeckeElem._raw(self.n, {w: -v for w, v in self.coeffs.items()})
 
     def scale(self, c) -> "HeckeElem":
-        c = RatFunc._coerce(c)
-        if not c:
+        r = RatFunc._coerce(c)
+        if r is None:
+            raise TypeError(f"cannot scale a HeckeElem by {type(c).__name__}")
+        if not r:
             return HeckeElem.zero(self.n)
-        return HeckeElem._raw(self.n, {w: v * c for w, v in self.coeffs.items()})
+        return HeckeElem._raw(self.n, {w: v * r for w, v in self.coeffs.items()})
 
     # -- multiplication -------------------------------------------------
     def times_generator(self, i: int) -> "HeckeElem":

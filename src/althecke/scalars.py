@@ -14,7 +14,9 @@ Three layers, all immutable and hash-stable:
   reads them.  RatFunc keeps a unique canonical form (coprime, denominator
   a polynomial with nonzero constant term and leading coefficient 1), so
   equal values have identical stored representations and serialize
-  byte-identically.
+  byte-identically.  Laurent values (denominator 1) combine as Laurent
+  polynomials; anything with a denominator is reduced once, in
+  ``_reduce``, the one place that takes a gcd.
 * :class:`TowerElem` -- the quadratic square-root tower.  For each k >= 2
   we adjoin a formal generator y_k with y_k**2 = 1 + q^2 + ... + q^(2k-2),
   that is, y_k**2 = [k]/q for the q-integer [k].  Normalizing the radicand
@@ -36,7 +38,9 @@ RatFunc's reflected division stay with each class.  A value hashes as the
 equal value of the lowest layer that holds it (a real GaussianRational as its
 Fraction, a constant LaurentPoly as its coefficient, a RatFunc over 1 as its
 numerator, a TowerElem without radicals as its RatFunc), so values that
-compare equal across the layers hash equal, every zero as 0.
+compare equal across the layers hash equal, every zero as 0.  LaurentPoly
+takes no part in the coercion, but a constant one equals the number its
+coefficient equals, so equality is transitive across the layers.
 """
 
 from __future__ import annotations
@@ -385,10 +389,12 @@ class LaurentPoly(Frozen):
         return GaussianRational(re / self._d, im / self._d)
 
     # -- structure ----------------------------------------------------------
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._d == other._d and self._c == other._c
+    def __eq__(self, other):  # a constant equals the number its coefficient equals
+        if isinstance(other, LaurentPoly):
+            return self._d == other._d and self._c == other._c
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self._c.keys() <= {0} and self.coeff(0) == other
+        return NotImplemented
 
     def __hash__(self):  # a constant hashes as its coefficient, which its RatFunc equals
         if self._c.keys() <= {0}:
@@ -496,20 +502,21 @@ def _pseudo_divmod(u: list, v: list):
     m * u == quo * v + rem, deg rem < deg v and m a power of lc(v)."""
     rem = list(u)
     dv, lv = len(v) - 1, v[-1]
+    lr, li = lv
     quo = [(0, 0)] * max(len(u) - dv, 0)
     m = (1, 0)
     while len(rem) > dv:
         f = rem[-1]
         s = len(rem) - 1 - dv
         if lv != (1, 0):
-            rem = [_gmul(c, lv) for c in rem]
-            quo = [_gmul(c, lv) for c in quo]
+            rem = [(a * lr - b * li, a * li + b * lr) for a, b in rem]
+            quo = [(a * lr - b * li, a * li + b * lr) for a, b in quo]
             m = _gmul(m, lv)
         quo[s] = f
-        for j, c in enumerate(v):
-            x, y = _gmul(f, c)
-            r = rem[s + j]
-            rem[s + j] = (r[0] - x, r[1] - y)
+        fr, fi = f
+        for j, (cr, ci) in enumerate(v, s):
+            r = rem[j]
+            rem[j] = (r[0] - fr * cr + fi * ci, r[1] - fr * ci - fi * cr)
         while rem and rem[-1] == (0, 0):
             rem.pop()
     return quo, rem, m
@@ -616,15 +623,11 @@ class RatFunc(_Scalar):
         return RatFunc._make(-self.num, self.den)
 
     def inverse(self) -> "RatFunc":
-        """Swap and renormalize; canonical inputs stay canonical."""
-        if self.num.is_zero():
+        """den / num, reduced once, in :func:`_reduce`, like every value with a
+        denominator."""
+        if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")
-        a = self.num.valuation()
-        npoly = self.num.shift(-a) if a else self.num
-        inv = npoly._recip_lead()
-        if inv is None:
-            return RatFunc._make(self.den.shift(-a), npoly)
-        return RatFunc._make(self.den._scaled(*inv).shift(-a), npoly._scaled(*inv))
+        return RatFunc._make(*_reduce(self.den, self.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -666,6 +669,7 @@ _set_den = RatFunc.den.__set__
 
 
 def _reduce(num: LaurentPoly, den: LaurentPoly):
+    """The canonical (num, den) of num / den."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
@@ -690,78 +694,21 @@ def _reduce(num: LaurentPoly, den: LaurentPoly):
     return pnum.shift(a - b), pden
 
 
-def _laurent_exact_div(p: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
-    """Divide by a polynomial with nonzero constant term, preserving q-powers."""
-    a = p.valuation()
-    npoly = p.shift(-a) if a else p
-    return _poly_exact_div(npoly, h).shift(a)
-
-
-def _val0_gcd(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of the polynomial parts (q-power factors stripped)."""
-    pv = p.valuation()
-    rv = r.valuation()
-    p0 = p.shift(-pv) if pv else p
-    r0 = r.shift(-rv) if rv else r
-    if p0.is_monomial() or r0.is_monomial():
-        return L_ONE
-    return _poly_gcd(p0, r0)
-
-
 def _rf_add(a: RatFunc, b: RatFunc, sign: int) -> RatFunc:
-    """Sum/difference of canonical fractions, keeping gcd work on the
-    denominator overlap instead of the full products."""
-    bn = b.num if sign > 0 else -b.num
-    if a.num.is_zero():
-        return RatFunc._make(bn, b.den)
-    if not bn:
-        return a
-    d1, d2 = a.den, b.den
-    if d1.is_one():
-        if d2.is_one():
-            return RatFunc._make(a.num + bn, L_ONE)
-        num = a.num * d2 + bn
-        return RatFunc._make(num, d2) if num else R_ZERO
-    if d2.is_one():
-        num = a.num + bn * d1
-        return RatFunc._make(num, d1) if num else R_ZERO
-    g = _poly_gcd(d1, d2)
-    if g.is_one():
-        num = a.num * d2 + bn * d1
-        return RatFunc._make(num, d1 * d2) if num else R_ZERO
-    d1r = _poly_exact_div(d1, g)
-    d2r = _poly_exact_div(d2, g)
-    num = a.num * d2r + bn * d1r
-    if not num:
-        return R_ZERO
-    # reduced inputs: gcd(num, den) = gcd(num, g), a divisor of d2 (Knuth, TAOCP 2, 4.5.1)
-    h = _val0_gcd(num, g)
-    if not h.is_one():
-        num = _laurent_exact_div(num, h)
-        d2 = _poly_exact_div(d2, h)
-    return RatFunc._make(num, d1r * d2)  # monic, valuation 0: a monomial here is 1
+    """a + sign * b.  Laurent values add as Laurent polynomials; anything with
+    a denominator is put over the product of the denominators and reduced
+    once, in :func:`_reduce`."""
+    if a.den.is_one() and b.den.is_one():
+        return RatFunc._make(a.num._combine(b.num, sign), L_ONE)
+    return RatFunc._make(*_reduce((a.num * b.den)._combine(b.num * a.den, sign), a.den * b.den))
 
 
 def _rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    """Product of canonical fractions via cross-cancellation; the result is
-    coprime by construction so no final reduction is needed."""
-    if a.num.is_zero() or b.num.is_zero():
-        return R_ZERO
-    d1, d2 = a.den, b.den
-    if d1.is_one() and d2.is_one():
+    """a * b.  Laurent values multiply as Laurent polynomials; anything with a
+    denominator is reduced once, in :func:`_reduce`."""
+    if a.den.is_one() and b.den.is_one():
         return RatFunc._make(a.num * b.num, L_ONE)
-    n1, n2 = a.num, b.num
-    if not d2.is_one():
-        u = _val0_gcd(n1, d2)
-        if not u.is_one():
-            n1 = _laurent_exact_div(n1, u)
-            d2 = _poly_exact_div(d2, u)
-    if not d1.is_one():
-        v = _val0_gcd(n2, d1)
-        if not v.is_one():
-            n2 = _laurent_exact_div(n2, v)
-            d1 = _poly_exact_div(d1, v)
-    return RatFunc._make(n1 * n2, d1 * d2)  # monic, valuation 0: a monomial here is 1
+    return RatFunc._make(*_reduce(a.num * b.num, a.den * b.den))
 
 
 R_ZERO = RatFunc._make(L_ZERO, L_ONE)

@@ -17,7 +17,7 @@ from althecke.hecke import (
     is_alternating,
     t_in_b,
 )
-from althecke.scalars import R_HALF, R_ONE, RatFunc, q_minus_qinv, q_plus_qinv
+from althecke.scalars import R_HALF, R_ONE, RatFunc, TowerElem, q_minus_qinv, q_plus_qinv
 from althecke.symgroup import all_permutations, bruhat_leq, from_word, identity
 
 
@@ -283,3 +283,12 @@ def test_hecke_serialization_roundtrip():
     assert hecke_from_obj(obj, 3) == elem
     lengths = [from_word([], 3).n and len(t["perm"]) for t in obj]
     assert all(l == 3 for l in lengths)
+
+
+def test_scale_refuses_what_is_not_a_ratfunc_scalar():
+    t1 = T([1], 3)
+    for c in ("x", None, TowerElem.gen(2)):
+        with pytest.raises(TypeError):
+            t1.scale(c)
+    assert t1.scale(0) == HeckeElem.zero(3)
+    assert t1.scale(2) == t1 + t1

@@ -22,6 +22,7 @@ from althecke.scalars import (
     pretty_tower,
     q_minus_qinv,
     qint,
+    qint_laurent,
     ratfunc_to_obj,
     specialize_numeric,
     tower_from_obj,
@@ -50,6 +51,20 @@ def ratfuncs(draw):
     num = draw(laurents())
     den = draw(laurents().filter(lambda p: not p.is_zero()))
     return RatFunc(num, den)
+
+
+@st.composite
+def qint_quotients(draw):
+    """A Gaussian multiple of a product of q-integers over another.  The pool
+    is small and [2] divides [4] and [6], [3] divides [6], so operands share
+    factors and repeat them."""
+    factors = st.lists(st.sampled_from((2, 3, 4, 6)), max_size=2)
+    num = den = LaurentPoly.one()
+    for k in draw(factors):
+        num = num * qint_laurent(k)
+    for k in draw(factors):
+        den = den * qint_laurent(k)
+    return RatFunc(num.scale(draw(gaussians().filter(bool))), den)
 
 
 @st.composite
@@ -163,6 +178,56 @@ def test_sum_cancels_part_of_a_shared_squared_factor():
     assert s == RatFunc(-1, q1 * q2 * q3)
     unreduced = RatFunc(q3 - q2 - q2, q1 * q1 * q2 * q3)
     assert ratfunc_to_obj(s) == ratfunc_to_obj(unreduced)
+
+
+def _field_gcd_degree(p: LaurentPoly, r: LaurentPoly) -> int:
+    """Degree of gcd(p, r) with the powers of q stripped, by Euclid over
+    Q(sqrt(-1)) on GaussianRational coefficient lists, constant term first."""
+    a, b = ([x.coeff(e) for e in range(x.valuation(), x.degree() + 1)] for x in (p, r))
+    while b:
+        while len(a) >= len(b):
+            f, s = a[-1] / b[-1], len(a) - len(b)
+            for j, c in enumerate(b):
+                a[s + j] = a[s + j] - f * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _assert_canonical(r: RatFunc) -> None:
+    if not r:
+        assert r.den.is_one()
+        return
+    assert r.den.coeff(0) and r.den.coeff(r.den.degree()) == 1
+    assert _field_gcd_degree(r.num, r.den) == 0
+
+
+_POINTS = (Fraction(2), Fraction(-1, 3), Fraction(3, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(ratfuncs(), qint_quotients()), st.one_of(ratfuncs(), qint_quotients()))
+def test_ratfunc_arithmetic_matches_evaluation(a, b):
+    # each result against the same operation on the values at rational points
+    # away from the poles, and in canonical form by an independent gcd
+    got = {"+": a + b, "-": a - b, "*": a * b}
+    if b:
+        got["/"] = a / b
+    if a:
+        got["inverse"] = a.inverse()
+    for r in got.values():
+        _assert_canonical(r)
+    for q0 in _POINTS:
+        try:
+            x, y = a.evaluate(q0), b.evaluate(q0)
+        except PoleError:
+            continue
+        want = {"+": x + y, "-": x - y, "*": x * y,
+                "/": x / y if y else None, "inverse": x.inverse() if x else None}
+        for op, r in got.items():
+            if want[op] is not None:
+                assert r.evaluate(q0) == want[op], op
 
 
 def test_mixed_denominators_serialize():
@@ -383,14 +448,24 @@ def test_equal_scalars_built_differently_hash_equal():
 def test_equal_operands_of_different_layers_hash_equal():
     # Python's rule for dict and set keys: values that compare equal hash
     # equal, also across types; each value hashes as the equal value of the
-    # lowest layer that holds it; the 12 equal pairs are zeros of different classes
+    # lowest layer that holds it; the 15 equal pairs are zeros of different classes
     equal = [(a, b, x, y) for (a, x), (b, y) in combinations(_OPERANDS, 2) if x == y]
-    assert len(equal) == 12
+    assert len(equal) == 15
     assert [(a, b) for a, b, x, y in equal if hash(x) != hash(y)] == []
     p, r = (x for name, x in _OPERANDS if name in ("p", "r"))
     lifted = [(3, v) for v in (GaussianRational(3), RatFunc(3), TowerElem.from_scalar(3))]
     lifted += [(p, RatFunc(p)), (p, TowerElem.from_scalar(p)), (r, TowerElem.from_scalar(r))]
     assert all(a == b and hash(a) == hash(b) for a, b in lifted)
+
+
+def test_equality_is_transitive_across_the_layers():
+    # a constant LaurentPoly equals the number its coefficient equals, as its
+    # RatFunc does, so no chain of equal operands ends at an unequal pair
+    broken = [(a, b, c) for a, x in _OPERANDS for b, y in _OPERANDS for c, z in _OPERANDS
+              if x == y and y == z and x != z]
+    assert broken == []
+    with pytest.raises(TypeError):
+        LaurentPoly.one() + 3  # equality coerces, arithmetic does not
 
 
 def test_tower_scale_refuses_what_is_not_a_ratfunc_scalar():
