@@ -43,12 +43,14 @@ class, zero elsewhere, so a cell depends only on its row, its column's cycle
 type and, at a split row's hook type, the column's sign.  One pass over the
 column cycle types, walked as a trie, leaves each row a packed integer per
 type (:func:`_packed_table`), which :func:`char_table` reads as a tower
-element and :func:`table_json` writes as digits; a single value runs the
-same pass, bounded by its shape.  No
-value is cached: only the strip shapes of :func:`althecke.combinat.added_strips`
-outlive a call, until ``added_strips.cache_clear()``.  Only the B-basis
-split values read :mod:`althecke.hecke`; the matrix traces of
-:mod:`althecke.specht` only check these routes.
+element through :func:`_digits` and :func:`table_json` writes as JSON,
+formatting each balanced digit where its own copy of the loop reads it, one
+cell string per row and cycle type; a single value runs the same pass,
+bounded by its shape.  No value is cached: only the strip shapes of
+:func:`althecke.combinat.added_strips` outlive a call, until
+``added_strips.cache_clear()``.  Only the B-basis split values read
+:mod:`althecke.hecke`; the matrix traces of :mod:`althecke.specht` only
+check these routes.
 """
 
 from __future__ import annotations
@@ -459,7 +461,10 @@ def _ram_columns(types, bound=None):
 
 
 def _digits(x: int, bits: int, e: int):
-    """(e + 2k, c_k) for each nonzero balanced digit c_k of x = sum(c_k 2^(bits k))."""
+    """(e + 2k, c_k) for each nonzero balanced digit c_k of x = sum(c_k 2^(bits k)),
+    -2^(bits-1) <= c_k < 2^(bits-1).  :func:`table_json` runs the same loop
+    inline and writes each digit as a JSON term where it is read: a tuple
+    per digit through a generator is about 6% of a cold table."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     while x:
         x += half
@@ -722,27 +727,37 @@ def _half_unit_terms(unit) -> tuple:
 
 def table_json(n: int):
     """``char_table(n).to_json()`` and a newline, one row at a time from the
-    integers of :func:`_packed_table`: the header and labels as strings, a
-    row's plain part once per cycle type (and shape) from the balanced digits
-    of its packed value, and the radical term of its unit at the hook type."""
+    integers of :func:`_packed_table`: the header and labels as strings, and
+    each plus or pair row's cells once per cycle type, every balanced digit
+    of the packed value written as its JSON term where it is read (the loop
+    of :func:`_digits`, inline: a shared reader costs a tuple per digit).  A
+    pair row looks its cells up by column; only a split row's hook-type
+    columns add the radical term of its unit, by :func:`_unit_sign`."""
     cols, bits, rows = _packed_table(n)
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
     # labels hold digits, commas, brackets and a sign: no JSON escapes
     yield ('{"column_reps":[' + ",".join(f"[{','.join(map(str, ol))}]" for _, _, ol in cols)
            + '],"columns":[' + ",".join(f'"{class_label(kappa, sign)}"' for kappa, sign, _ in cols)
            + f'],"convention":"oracle","n":{n},"rows":[')
     for i, (kind, lam, h, unit, plain) in enumerate(rows):
         if kind != "minus":  # a minus row shares the plain part and unit of the plus row before it
-            nums = {}  # kappa -> the JSON term of plain[kappa] / 2, c/2 in lowest terms
+            cells = {}  # kappa -> the JSON cell of plain[kappa] / 2
             for kappa, (x, e) in plain.items():
-                num = ",".join(f"[{q},{c},2,0,1]" if c & 1 else f"[{q},{c >> 1},1,0,1]"
-                               for q, c in _digits(x, bits, e))
-                nums[kappa] = '{"den":[[0,1,1,0,1]],"num":[' + num + '],"ys":[]}' if num else ""
-            rads = _half_unit_terms(unit) if unit else ("",)
-        cells = []
-        for kappa, sign, _ in cols:
-            num, rad = nums[kappa], rads[_unit_sign(kind, h, kappa, sign)]
-            cells.append('{"terms":[' + (num + rad if num else rad[1:]) + "]}")
-        yield ("," if i else "") + '{"cells":[' + ",".join(cells) + (
+                terms = []  # c/2 in lowest terms per nonzero digit c
+                while x:
+                    x += half
+                    c, x = (x & mask) - half, x >> bits
+                    if c:
+                        terms.append(f"[{e},{c},2,0,1]" if c & 1 else f"[{e},{c >> 1},1,0,1]")
+                    e += 2
+                num = '{"den":[[0,1,1,0,1]],"num":[' + ",".join(terms) + '],"ys":[]}' if terms else ""
+                cells[kappa] = '{"terms":[' + num + "]}"
+                if kappa == h:  # the hook-type cells, indexed by _unit_sign 0, 1, -1
+                    hooks = ['{"terms":[' + (num + rad if num else rad[1:]) + "]}"
+                             for rad in _half_unit_terms(unit)]
+        yield ("," if i else "") + '{"cells":[' + ",".join(
+            [cells[kappa] if kappa != h else hooks[_unit_sign(kind, h, kappa, sign)]
+             for kappa, sign, _ in cols]) + (
             f'],"kind":"{kind}","label":"{row_label(lam, kind)}",'
             f'"shape":[{",".join(map(str, lam))}]}}')
     yield f'],"sigma":{resolve_sigma()}}}\n'

@@ -623,11 +623,12 @@ class RatFunc(_Scalar):
         return RatFunc._make(-self.num, self.den)
 
     def inverse(self) -> "RatFunc":
-        """den / num, reduced once, in :func:`_reduce`, like every value with a
-        denominator."""
+        """den / num without a gcd: the canonical parts are coprime, so the
+        swap needs only :func:`_monic`'s normalising tail."""
         if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc._make(*_reduce(self.den, self.num))
+        a = self.num.valuation()
+        return RatFunc._make(*_monic(self.den, self.num.shift(-a), -a))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -687,11 +688,17 @@ def _reduce(num: LaurentPoly, den: LaurentPoly):
         if not g.is_one():
             pnum = _poly_exact_div(pnum, g)
             pden = _poly_exact_div(pden, g)
+    return _monic(pnum, pden, a - b)
+
+
+def _monic(pnum: LaurentPoly, pden: LaurentPoly, k: int):
+    """The canonical (num, den) of q^k pnum / pden for coprime parts, pden of
+    valuation 0: both scaled so that the denominator is monic."""
     inv = pden._recip_lead()
     if inv:
         pnum = pnum._scaled(*inv)
         pden = pden._scaled(*inv)
-    return pnum.shift(a - b), pden
+    return pnum.shift(k), pden
 
 
 def _rf_add(a: RatFunc, b: RatFunc, sign: int) -> RatFunc:

@@ -833,6 +833,27 @@ def test_ram_packing_width_holds():
                 assert list(got) == want, (n, kappa, group)
 
 
+def test_digits_read_every_balanced_digit():
+    # seeded digit lists over the whole range -2^(bits-1) <= c_k < 2^(bits-1),
+    # with the most negative digit, a negative top digit and runs of zeros
+    rng = random.Random(30)
+    for bits in range(1, 71):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        for case in range(12):
+            size = rng.randint(1, 9)
+            digits = [rng.choice((0, 0, lo, hi, rng.randint(lo, hi))) for _ in range(size)]
+            if case == 0:
+                digits = [lo] * size
+            elif case == 1:
+                digits[-1] = lo
+            elif case == 2:
+                digits = [rng.randint(lo, hi), 0, 0, 0] + digits + [0, 0, -1]
+            x = sum(c << (bits * k) for k, c in enumerate(digits))
+            e = rng.randint(-20, 20)
+            want = [(e + 2 * k, c) for k, c in enumerate(digits) if c]
+            assert list(chars._digits(x, bits, e)) == want, (bits, digits)
+
+
 def test_ram_values_commute_with_conjugation():
     # conjugating the shape is the sign twist of the algebra: at a minimal
     # w_kappa, l(w) = n - len(kappa), chi_lam'(T_w) is (-1)^l(w) times

@@ -180,6 +180,31 @@ def test_sum_cancels_part_of_a_shared_squared_factor():
     assert ratfunc_to_obj(s) == ratfunc_to_obj(unreduced)
 
 
+def test_inverse_takes_no_gcd(monkeypatch):
+    # a canonical value's parts are coprime, so the inverse swaps them with no
+    # gcd, and a quotient takes only the one of its product
+    from althecke import scalars
+
+    calls = []
+
+    def counted(p, r):
+        calls.append((p, r))
+        return gcd(p, r)
+
+    gcd = scalars._poly_gcd
+    monkeypatch.setattr(scalars, "_poly_gcd", counted)
+    a = qint(3) / (qint(2) * (1 + RatFunc.q_power(1)))
+    b = (qint(5) + 1) / qint(4)
+    calls.clear()
+    inv = b.inverse()
+    assert len(calls) == 0
+    quo = a / b
+    assert len(calls) == 1
+    for got, want in ((inv, RatFunc(b.den, b.num)), (quo, RatFunc(a.num * b.den, a.den * b.num))):
+        assert (got.num, got.den) == (want.num, want.den)
+        assert ratfunc_to_obj(got) == ratfunc_to_obj(want)
+
+
 def _field_gcd_degree(p: LaurentPoly, r: LaurentPoly) -> int:
     """Degree of gcd(p, r) with the powers of q stripped, by Euclid over
     Q(sqrt(-1)) on GaussianRational coefficient lists, constant term first."""
