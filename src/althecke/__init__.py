@@ -19,7 +19,7 @@ from .scalars import (
 )
 from .symgroup import Permutation, alt_classes, split_class_reps, w_of_composition
 from .combinat import StdTableau, diagonal_hooks, partitions_of, std_tableaux
-from .hecke import HeckeElem, a_elem, b_basis, b_elem, e_elem, hash_inv
+from .hecke import HeckeElem, a_elem, b_elem, e_elem, hash_inv
 from .specht import build_rep, char_T, char_alt, char_split, twisted_trace
 from .chars import (
     alt_class_polys,
@@ -55,7 +55,6 @@ __all__ = [
     "std_tableaux",
     "HeckeElem",
     "a_elem",
-    "b_basis",
     "b_elem",
     "e_elem",
     "hash_inv",

@@ -538,6 +538,13 @@ def _g_vector(w: Permutation) -> tuple:
     Expands w through its cycle-type class polynomials f_w.  An even
     minimal representative is its own class; an odd one contributes the
     vector :func:`_min_rep_vector` computes once per cycle type.
+
+    g determines the restricted characters (chi_lam + chi_lam')/2, and so
+    only psi+ + psi- of a split pair: each cycle type of f_w goes to
+    ``w_of_composition``, a plus class.  The two split values need the
+    twisted class polynomials too (:func:`split_char_values`).  At n = 4,
+    w = [2,4,3,1] and lam = (2,2), the g-sum against the table row [2,2]+
+    is -1/2 + 1/2·√-1·q^(-3/2)·√[3], and psi+ is -1/2 - 1/2·√-1·q^(-3/2)·√[3].
     """
     if not w.is_even():
         raise NotAlternatingError(f"{w!r} is odd")
@@ -553,6 +560,10 @@ def _g_vector(w: Permutation) -> tuple:
 
 
 def alt_class_polys(w: Permutation) -> ClassPolyTable:
+    """The alternating class polynomials g of an even w, keyed by alternating
+    class.  They give the restricted characters, and so only the sum of the
+    two split values of a self-conjugate shape; :func:`split_char_values`
+    gives each one, through the twisted class polynomials."""
     return ClassPolyTable(w, _g_vector(w))
 
 

@@ -5,7 +5,9 @@ Subcommands, one entry each of the table ``COMMANDS``::
     table      full alternating character table for a degree
     char       character values of one shape at one word
     tau-char   twisted character value with recursion provenance
-    classpoly  class polynomials (plain and alternating) of a word
+    classpoly  class polynomials (plain and alternating) of a word; the
+               alternating ones give the restricted characters, so only
+               psi+ + psi- of a split pair (``char`` gives psi+ and psi-)
     basis      dump an averaged or parity-triangular basis
     verify     run the identity/verification suites
 

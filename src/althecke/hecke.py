@@ -36,7 +36,7 @@ from .scalars import (
     ratfunc_from_obj,
     ratfunc_to_obj,
 )
-from .symgroup import Permutation, all_permutations, from_word, identity
+from .symgroup import Permutation, from_word, identity
 
 
 class NotAlternatingError(ValueError):
@@ -269,11 +269,6 @@ def b_elem(w: Permutation) -> HeckeElem:
     return HeckeElem._raw(w.n, out)
 
 
-def b_basis(n: int) -> dict:
-    """The full parity-triangular basis of the degree-n algebra."""
-    return {w: b_elem(w) for w in all_permutations(n)}
-
-
 @lru_cache(maxsize=None)
 def e_elem(i: int, n: int) -> HeckeElem:
     """E_i = (2 T_i - q + q**-1)/(q + q**-1); an involution with E_i^# = -E_i."""
@@ -315,14 +310,10 @@ def expand_in_a(h: HeckeElem) -> dict:
     return expand_in_basis(h, a_elem)
 
 
-def expand_in_b(h: HeckeElem) -> dict:
-    return expand_in_basis(h, b_elem)
-
-
 @lru_cache(maxsize=None)
 def t_in_b(w: Permutation) -> tuple:
     """T_w = sum(s_y * B_y): returns ((y, coeff), ...) sorted by length."""
-    expansion = expand_in_b(HeckeElem.t_basis(w))
+    expansion = expand_in_basis(HeckeElem.t_basis(w), b_elem)
     return tuple(sorted(expansion.items(), key=lambda kv: (kv[0].length(), kv[0].one_line)))
 
 

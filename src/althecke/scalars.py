@@ -419,21 +419,21 @@ class LaurentPoly(Frozen):
                     term = f"-{qs}"
                 else:
                     gs = str(g)
-                    if ("+" in gs[1:]) or ("-" in gs[1:]) or "·" in gs:
-                        gs = f"({gs})" if not gs.startswith("(") else gs
+                    if g.im and not gs.startswith("("):
+                        gs = f"({gs})"
                     term = f"{gs}·{qs}"
             parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return _signed_join(parts)
 
 
 _set_c = LaurentPoly._c.__set__
 _set_d = LaurentPoly._d.__set__
+
+
+def _signed_join(terms: list) -> str:
+    """The printed nonempty terms of a sum: " + " between them, or " - "
+    before a term that starts with "-", which then loses its sign."""
+    return terms[0] + "".join([" - " + t[1:] if t[0] == "-" else " + " + t for t in terms[1:]])
 
 
 def _lowest(c: dict, d: int) -> LaurentPoly:
@@ -901,7 +901,7 @@ class TowerElem(_Scalar):
     def __hash__(self):  # without radicals, a value hashes as the RatFunc it equals
         if self.terms.keys() <= {frozenset()}:
             return hash(self.terms.get(frozenset(), R_ZERO))
-        return hash(tuple(sorted(((tuple(sorted(s)), c) for s, c in self.terms.items()))))
+        return hash(tuple(self.sorted_terms()))
 
     def sorted_terms(self):
         return sorted(((tuple(sorted(s)), c) for s, c in self.terms.items()))
@@ -1028,20 +1028,14 @@ def ratfunc_from_obj(obj) -> RatFunc:
 
 
 def tower_to_obj(a: TowerElem) -> dict:
-    terms = []
-    for ys, c in a.sorted_terms():
-        terms.append({"ys": list(ys), "num": _laurent_to_obj(c.num),
-                      "den": _laurent_to_obj(c.den)})
-    return {"terms": terms}
+    """{"terms": [{"ys": [k, ...], "num": ..., "den": ...}, ...]}, each term's
+    coefficient laid out as :func:`ratfunc_to_obj` lays it out."""
+    return {"terms": [{"ys": list(ys), **ratfunc_to_obj(c)} for ys, c in a.sorted_terms()]}
 
 
 def tower_from_obj(obj) -> TowerElem:
-    t = {}
-    for term in obj["terms"]:
-        c = RatFunc(_laurent_from_obj(term["num"]), _laurent_from_obj(term["den"]))
-        if c:
-            t[frozenset(int(k) for k in term["ys"])] = c
-    return TowerElem._raw(t)
+    terms = ((frozenset(map(int, term["ys"])), ratfunc_from_obj(term)) for term in obj["terms"])
+    return TowerElem._raw({s: c for s, c in terms if c})
 
 
 def canonical_json(obj) -> str:
@@ -1049,38 +1043,33 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _q_half_power(twice: int) -> str:
+    """The factor q^(twice/2) of a :func:`pretty_tower` term: empty for 0,
+    "q" for 2, q^k for any other even twice = 2k, q^(twice/2) for odd twice."""
+    if twice % 2:
+        return f"q^({twice}/2)"
+    return "" if not twice else "q" if twice == 2 else f"q^{twice // 2}"
+
+
 def pretty_tower(a: TowerElem) -> str:
-    """Render a tower element in radical notation, e.g. √-1·q^(-3/2)·√[3]."""
+    """Render a tower element in radical notation, e.g. √-1·q^(-3/2)·√[3].
+
+    A term is its coefficient, its power of q and its radicals: y_k =
+    sqrt([k])/sqrt(q) contributes q^(-1/2) each.  A monomial Laurent
+    coefficient g·q^e merges q^e into that power and prints g alone, or
+    only its sign when g is 1 or -1; any other coefficient is parenthesised.
+    """
     if a.is_zero():
         return "0"
     parts = []
     for ys, c in a.sorted_terms():
-        rad = "·".join(f"√[{k}]" for k in ys)
-        half = -len(ys)  # y_k = sqrt([k])/sqrt(q) contributes q^(-1/2) each
-        piece = None
+        twice, sign, lead = -len(ys), "", f"({c})"
         if c.is_laurent() and c.num.is_monomial():
             e = c.num.valuation()
+            twice += 2 * e
             g = c.num.coeff(e)
-            num2 = 2 * e + half
-            if num2 == 0:
-                qs = ""
-            elif num2 % 2 == 0:
-                qs = f"q^{num2 // 2}" if num2 // 2 != 1 else "q"
-            else:
-                qs = f"q^({num2}/2)"
-            gs = "" if g == G_ONE else ("-" if g == -G_ONE else str(g))
-            atoms = [x for x in (gs if gs not in ("", "-") else "", qs, rad) if x]
-            body = "·".join(atoms) if atoms else "1"
-            piece = ("-" + body) if gs == "-" else body
-        if piece is None:
-            qs = "" if half == 0 else (f"q^{half // 2}" if half % 2 == 0 else f"q^({half}/2)")
-            atoms = [f"({c})"] + [x for x in (qs, rad) if x]
-            piece = "·".join(atoms)
-        parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+            sign = "-" if g == -G_ONE else ""
+            lead = "" if g == G_ONE or sign else str(g)
+        rad = "·".join(f"√[{k}]" for k in ys)
+        parts.append(sign + ("·".join([x for x in (lead, _q_half_power(twice), rad) if x]) or "1"))
+    return _signed_join(parts)

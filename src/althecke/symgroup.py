@@ -441,13 +441,13 @@ def _bfs_stage(start: Permutation) -> list:
 
 
 def _unwind(parent, u: Permutation):
+    """The FLAT steps from the search's start to u.  A step's target is the
+    node whose parent link names the step, so no conjugate is formed again."""
     chain = []
-    key = u.one_line
-    while parent[key] is not None:
-        prev, s = parent[key]
-        witness, side = _flat_witness(prev, s)
-        chain.append(FlatStep(s, prev, prev.conj_s(s), witness, side))
-        key = prev.one_line
+    while parent[u.one_line] is not None:
+        prev, s = parent[u.one_line]
+        chain.append(FlatStep(s, prev, u, *_flat_witness(prev, s)))
+        u = prev
     chain.reverse()
     return chain
 
